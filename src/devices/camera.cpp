@@ -51,10 +51,13 @@ wei::ActionResult CameraSim::execute(const wei::ActionRequest& request) {
     }
 
     // Glitched frame: the fiducial is occluded (moved far out of frame),
-    // making the image undecodable downstream.
+    // making the image undecodable downstream. Besides this roll, a frame
+    // takes exactly one draw from rng_ (its noise key), so the glitch
+    // sequence depends on the noise seed alone, not on the frame size.
     const bool glitched = rng_.bernoulli(config_.glitch_prob);
     if (glitched) {
         scene.marker_center = {-10000.0, -10000.0};
+        ++frames_glitched_;
     }
 
     std::vector<color::Rgb8> colors(static_cast<std::size_t>(plate.capacity()),

@@ -62,6 +62,8 @@ public:
 
     [[nodiscard]] const imaging::PlateScene& scene() const noexcept { return config_.scene; }
     [[nodiscard]] std::int64_t frames_captured() const noexcept { return next_frame_id_ - 1; }
+    /// Captures returned with `glitched: true`.
+    [[nodiscard]] std::int64_t frames_glitched() const noexcept { return frames_glitched_; }
 
 private:
     CameraConfig config_;
@@ -72,6 +74,7 @@ private:
     imaging::PlateRenderer renderer_;  ///< base-raster cache across captures
     std::map<std::int64_t, imaging::Image> frames_;
     std::int64_t next_frame_id_ = 1;
+    std::int64_t frames_glitched_ = 0;
 };
 
 }  // namespace sdl::devices

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "imaging/draw.hpp"
 #include "linalg/fastmath.hpp"
@@ -68,10 +69,97 @@ void draw_wells(Image& img, const PlateScene& scene, const std::vector<Vec2>& ce
     }
 }
 
+// Counter-based sensor noise (Salmon et al., "Parallel Random Numbers: As
+// Easy as 1, 2, 3", SC 2011): a frame draws one 64-bit key, and every
+// pixel's noise is a pure function of (key, pixel index, channel). One
+// stateless mix per pixel yields three 21-bit fields; each field maps to
+// a standard normal through a table-driven inverse CDF. No per-sample
+// libm call, rejection loop, or carried generator state.
+constexpr int kFieldBits = 21;
+constexpr std::uint64_t kFieldMask = (std::uint64_t{1} << kFieldBits) - 1;
+constexpr int kFracBits = 9;                         // position inside a cell
+constexpr int kCells = 1 << (kFieldBits - kFracBits);  // 4096 uniform cells
+constexpr std::uint64_t kFracMask = (std::uint64_t{1} << kFracBits) - 1;
+constexpr double kInvSqrt2Pi = 0.39894228040143267794;  // φ(0)
+
+/// One inverse-CDF cell in slope-intercept form: a field with cell bits i
+/// and in-cell offset k maps to z0 + dz * k. Floats keep the table at 32 KB
+/// (L1-resident) and absorb most last-ulp libm differences in its build.
+struct NormalCell {
+    float z0;
+    float dz;
+};
+
+/// SplitMix64's output function at counter position `n` from state `key`:
+/// a bijective 64-bit finalizer over key + n·γ (γ the golden-ratio
+/// increment), so neighbouring pixels land on unrelated outputs.
+std::uint64_t noise_bits(std::uint64_t key, std::uint64_t n) noexcept {
+    std::uint64_t z = key + n * 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/// Φ⁻¹(p) for 0 < p <= 0.5 by Newton's method on Φ(x) = erfc(-x/√2)/2.
+/// Φ is convex on x <= 0, so the iterates from x = 0 descend monotonically
+/// onto the root. Used only to build the table, never per sample.
+double inverse_normal_cdf_lower(double p) {
+    constexpr double kInvSqrt2 = 0.70710678118654752440;
+    double x = 0.0;
+    for (int it = 0; it < 200; ++it) {
+        const double f = 0.5 * std::erfc(-x * kInvSqrt2) - p;
+        const double step = f / (kInvSqrt2Pi * std::exp(-0.5 * x * x));
+        x -= step;
+        if (std::abs(step) < 1e-14) break;
+    }
+    return x;
+}
+
+/// Knots t[i] = Φ⁻¹(i / kCells), linearly interpolated inside each cell.
+/// The two unbounded end cells get a finite outer knot chosen so the cell
+/// mean equals the tail's conditional mean E[Z | U < 1/kCells] =
+/// -φ(t[1])·kCells, which keeps the variance within 1e-4 of 1. Knots are
+/// built for the lower half and mirrored, so the table is antisymmetric
+/// and the noise is unbiased.
+std::vector<NormalCell> build_normal_table() {
+    std::vector<double> knots(kCells + 1);
+    for (int i = 1; i <= kCells / 2; ++i) {
+        knots[static_cast<std::size_t>(i)] =
+            i == kCells / 2 ? 0.0 : inverse_normal_cdf_lower(static_cast<double>(i) / kCells);
+    }
+    const double t1 = knots[1];
+    const double tail_mean = -kInvSqrt2Pi * std::exp(-0.5 * t1 * t1) * kCells;
+    knots[0] = 2.0 * tail_mean - t1;
+    for (int i = 0; i < kCells / 2; ++i) {
+        knots[static_cast<std::size_t>(kCells - i)] = -knots[static_cast<std::size_t>(i)];
+    }
+    std::vector<NormalCell> cells(kCells);
+    constexpr double kSteps = 1 << kFracBits;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const double slope = (knots[i + 1] - knots[i]) / kSteps;
+        // Offsets sit at sub-step midpoints, (k + 0.5) / kSteps of the cell.
+        cells[i] = {static_cast<float>(knots[i] + 0.5 * slope), static_cast<float>(slope)};
+    }
+    return cells;
+}
+
+const NormalCell* normal_table() {
+    static const std::vector<NormalCell> table = build_normal_table();
+    return table.data();
+}
+
+/// Standard normal for one 21-bit field.
+double field_normal(const NormalCell* table, std::uint64_t field) noexcept {
+    const NormalCell& cell = table[field >> kFracBits];
+    return static_cast<double>(cell.z0) +
+           static_cast<double>(cell.dz) * static_cast<double>(field & kFracMask);
+}
+
 /// Sensor model: illumination shading and Gaussian noise. The per-column
 /// gradient/vignette terms are precomputed once per frame; per pixel the
 /// factor combines them with the exact expression the scalar
-/// illumination() helper used, so the shading bits are unchanged.
+/// illumination() helper used, so the shading bits are unchanged. The
+/// frame's noise key is the one draw this makes from `rng`.
 void apply_sensor_model(Image& img, const PlateScene& scene, support::Rng& rng,
                         std::vector<double>& nx, std::vector<double>& nx2) {
     const auto width = static_cast<std::size_t>(scene.width);
@@ -83,20 +171,27 @@ void apply_sensor_model(Image& img, const PlateScene& scene, support::Rng& rng,
     }
     const double gx = scene.illum_gradient.x;
     const double gy = scene.illum_gradient.y;
+    const double sigma = scene.noise_sigma;
+    const std::uint64_t key = rng.next();
+    const NormalCell* table = normal_table();
     std::uint8_t* bytes = img.bytes().data();
     for (int y = 0; y < scene.height; ++y) {
         const double ny = static_cast<double>(y) / scene.height - 0.5;
         const double gy_ny = gy * ny;
         const double ny2 = ny * ny;
-        std::uint8_t* row = bytes + 3 * static_cast<std::size_t>(y) * width;
+        const std::size_t row_start = static_cast<std::size_t>(y) * width;
+        std::uint8_t* row = bytes + 3 * row_start;
         for (std::size_t x = 0; x < width; ++x) {
             const double gradient = 1.0 + gx * nx[x] + gy_ny;
             const double r2 = (nx2[x] + ny2) / 0.5;  // 1.0 at frame corners
             const double factor = gradient * (1.0 - scene.vignette * r2);
+            const std::uint64_t bits = noise_bits(key, row_start + x);
             std::uint8_t* px = row + 3 * x;
-            px[0] = shade(px[0], factor, rng.normal(0.0, scene.noise_sigma));
-            px[1] = shade(px[1], factor, rng.normal(0.0, scene.noise_sigma));
-            px[2] = shade(px[2], factor, rng.normal(0.0, scene.noise_sigma));
+            px[0] = shade(px[0], factor, sigma * field_normal(table, bits & kFieldMask));
+            px[1] = shade(px[1], factor,
+                          sigma * field_normal(table, (bits >> kFieldBits) & kFieldMask));
+            px[2] = shade(px[2], factor,
+                          sigma * field_normal(table, (bits >> (2 * kFieldBits)) & kFieldMask));
         }
     }
 }

@@ -71,7 +71,8 @@ struct PlateScene {
 
 /// Renders the scene. `well_colors` has rows*cols entries in row-major
 /// order; `filled` marks which wells contain liquid (nullopt = all). The
-/// RNG drives sensor noise only.
+/// RNG drives sensor noise only: the frame takes exactly one draw from it,
+/// a key of which every pixel's noise is a pure function.
 [[nodiscard]] Image render_plate(const PlateScene& scene,
                                  std::span<const color::Rgb8> well_colors,
                                  support::Rng& rng,

@@ -207,11 +207,17 @@ TEST(App, DeltaE2000ObjectiveRuns) {
 }
 
 TEST(App, RetakesGlitchedFrames) {
+    // 192 single-sample batches at glitch_prob 0.04: a run with no glitch
+    // at all has probability 0.96^192 < 4e-4, and one that aborts after
+    // four glitches in a row (the retake limit) about 192 * 0.04^4 < 5e-4,
+    // so the assertions hold on essentially every camera noise stream.
     ColorPickerConfig config = preset_quickstart(41);
-    config.camera.glitch_prob = 0.35;  // roughly one glitch per few frames
+    config.total_samples = 192;
+    config.batch_size = 1;
+    config.camera.glitch_prob = 0.04;
     ColorPickerApp app(config);
     const ExperimentOutcome outcome = app.run();
-    EXPECT_EQ(outcome.samples.size(), 24u);
+    EXPECT_EQ(outcome.samples.size(), 192u);
     EXPECT_GT(outcome.frame_retakes, 0);
     // Retake workflows appear in the event log.
     int retake_runs = 0;
@@ -222,6 +228,11 @@ TEST(App, RetakesGlitchedFrames) {
     // More frames were captured than batches measured.
     EXPECT_GT(app.camera().frames_captured(),
               static_cast<std::int64_t>(outcome.batches_run));
+    // Exact on every stream: each glitched capture costs one retake, and
+    // each batch ends on one clean frame.
+    EXPECT_EQ(app.camera().frames_glitched(), outcome.frame_retakes);
+    EXPECT_EQ(app.camera().frames_captured(),
+              static_cast<std::int64_t>(outcome.batches_run) + outcome.frame_retakes);
 }
 
 TEST(App, PersistentGlitchAbortsAfterMaxRetakes) {

@@ -545,6 +545,35 @@ TEST(Camera, BaseRasterCacheFramesByteIdentical) {
     }
 }
 
+TEST(Camera, GlitchSequenceIndependentOfPlateFormat) {
+    // A frame takes one glitch roll and one noise key from the camera's
+    // stream whatever its size, so one noise_seed yields the same glitch
+    // sequence on a 96-well (800x600) and a 1536-well (3200x2400) frame.
+    CameraConfig config;
+    config.glitch_prob = 0.5;
+    config.max_frames = 1;
+    TestWorkcell small_cell;
+    TestWorkcell dense_cell;
+    CameraSim small(config, small_cell.plates, small_cell.locations);
+    CameraSim dense(config, dense_cell.plates, dense_cell.locations);
+    small_cell.locations.place(locations::kCamera, small_cell.plates.create(8, 12));
+    dense_cell.locations.place(locations::kCamera, dense_cell.plates.create(32, 48));
+    int glitches = 0;
+    for (int i = 0; i < 12; ++i) {
+        const auto a = small.execute(request_of("camera", "take_picture"));
+        const auto b = dense.execute(request_of("camera", "take_picture"));
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        const bool glitched = a.data.at("glitched").as_bool();
+        EXPECT_EQ(glitched, b.data.at("glitched").as_bool()) << "capture " << i;
+        glitches += glitched ? 1 : 0;
+    }
+    EXPECT_EQ(dense.frame(dense.frames_captured()).width(), 3200);
+    // Both outcomes occur, so the comparison is not vacuous.
+    EXPECT_GT(glitches, 0);
+    EXPECT_LT(glitches, 12);
+}
+
 TEST(Camera, IsNotARoboticModule) {
     TestWorkcell cell;
     EXPECT_FALSE(cell.camera->info().robotic);

@@ -2,7 +2,10 @@
 // renderer properties, and detector behaviour at the margins.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "imaging/components.hpp"
 #include "imaging/draw.hpp"
@@ -262,6 +265,134 @@ TEST(RendererExtra, NoiseIsDeterministicPerSeed) {
         if (!(a.pixel(x, 50) == c.pixel(x, 50))) differs = true;
     }
     EXPECT_TRUE(differs);
+}
+
+namespace {
+
+/// A flat mid-gray frame: the marker (and with it the plate) sits far out
+/// of frame and shading is off, so every pixel is 128 * 1.0 + noise.
+PlateScene flat_gray_scene(double sigma) {
+    PlateScene scene;
+    scene.marker_center = {-10000.0, -10000.0};
+    scene.background = {128, 128, 128};
+    scene.vignette = 0.0;
+    scene.illum_gradient = {0.0, 0.0};
+    scene.noise_sigma = sigma;
+    return scene;
+}
+
+/// Pearson correlation of the pairs (a[i], b[i]).
+double correlation(const std::vector<double>& a, const std::vector<double>& b) {
+    const auto n = static_cast<double>(a.size());
+    double ma = 0.0, mb = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ma += a[i];
+        mb += b[i];
+    }
+    ma /= n;
+    mb /= n;
+    double sab = 0.0, saa = 0.0, sbb = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        sab += (a[i] - ma) * (b[i] - mb);
+        saa += (a[i] - ma) * (a[i] - ma);
+        sbb += (b[i] - mb) * (b[i] - mb);
+    }
+    return sab / std::sqrt(saa * sbb);
+}
+
+}  // namespace
+
+TEST(RendererExtra, KeyedNoiseIsGaussianAndUncorrelated) {
+    // sigma = 8.5 puts 3 sigma at 25.5, so on the integer residuals
+    // "|r| > 3 sigma" is exactly "|noise| > 3 sigma"; rounding adds only
+    // 1/12 to the variance, and 128 +- 4 sigma never clips.
+    constexpr double kSigma = 8.5;
+    constexpr int kFrames = 4;
+    const PlateScene scene = flat_gray_scene(kSigma);
+    const std::vector<Rgb8> colors(96, Rgb8{128, 128, 128});
+    Rng rng(2024);
+    const int w = scene.width;
+    const int h = scene.height;
+    // residual[frame][channel][y * w + x]
+    std::vector<std::array<std::vector<double>, 3>> residual(kFrames);
+    for (int f = 0; f < kFrames; ++f) {
+        const Image frame = render_plate(scene, colors, rng);
+        const auto bytes = frame.bytes();
+        for (int c = 0; c < 3; ++c) {
+            auto& r = residual[static_cast<std::size_t>(f)][static_cast<std::size_t>(c)];
+            r.resize(static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
+            for (std::size_t i = 0; i < r.size(); ++i) {
+                r[i] = static_cast<double>(bytes[3 * i + static_cast<std::size_t>(c)]) - 128.0;
+            }
+        }
+    }
+    for (std::size_t c = 0; c < 3; ++c) {
+        double sum = 0.0, sum_sq = 0.0;
+        std::size_t beyond = 0, n = 0;
+        for (const auto& frame : residual) {
+            for (const double r : frame[c]) {
+                sum += r;
+                sum_sq += r * r;
+                beyond += std::abs(r) > 3.0 * kSigma ? 1 : 0;
+                ++n;
+            }
+        }
+        const double mean = sum / static_cast<double>(n);
+        const double sd = std::sqrt(sum_sq / static_cast<double>(n) - mean * mean);
+        const double tail = static_cast<double>(beyond) / static_cast<double>(n);
+        EXPECT_NEAR(mean, 0.0, 0.05) << "channel " << c;
+        EXPECT_NEAR(sd / kSigma, 1.0, 0.02) << "channel " << c;
+        EXPECT_NEAR(tail, 0.0027, 0.0002) << "channel " << c;  // two-sided 3-sigma share
+    }
+
+    // Lag-1 correlation along x, y, channel, and across consecutive frames.
+    struct Lag {
+        const char* axis;
+        int dx, dy, dc, df;
+    };
+    const auto at = [&](int f, int c, int x, int y) {
+        return residual[static_cast<std::size_t>(f)][static_cast<std::size_t>(c % 3)]
+                       [static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
+                        static_cast<std::size_t>(x)];
+    };
+    for (const Lag lag : {Lag{"x", 1, 0, 0, 0}, Lag{"y", 0, 1, 0, 0}, Lag{"channel", 0, 0, 1, 0},
+                          Lag{"frame", 0, 0, 0, 1}}) {
+        for (int c = 0; c < 3; ++c) {
+            std::vector<double> a, b;
+            for (int f = 0; f + lag.df < kFrames; ++f)
+                for (int y = 0; y + lag.dy < h; ++y)
+                    for (int x = 0; x + lag.dx < w; ++x) {
+                        a.push_back(at(f, c, x, y));
+                        b.push_back(at(f + lag.df, c + lag.dc, x + lag.dx, y + lag.dy));
+                    }
+            EXPECT_LT(std::abs(correlation(a, b)), 0.01) << lag.axis << ", channel " << c;
+        }
+    }
+}
+
+TEST(RendererExtra, NoiseIsPureFunctionOfFrameKey) {
+    const PlateScene scene = flat_gray_scene(2.0);
+    const std::vector<Rgb8> colors(96, Rgb8{128, 128, 128});
+    Rng rng(77);
+    Rng same_key = rng;
+    const Image a = render_plate(scene, colors, rng);
+    const Image b = render_plate(scene, colors, same_key);
+    EXPECT_TRUE(std::ranges::equal(a.bytes(), b.bytes()));
+
+    // A frame draws exactly one key: both generators moved in lockstep
+    // and now sit one draw past where they started.
+    Rng one_draw(77);
+    (void)one_draw.next();
+    EXPECT_EQ(rng.next(), one_draw.next());
+
+    // The next key (the generator has moved on) gives a different frame;
+    // most pixels change.
+    const Image c = render_plate(scene, colors, rng);
+    std::size_t changed = 0;
+    for (std::size_t i = 0; i < a.bytes().size(); ++i) {
+        changed += a.bytes()[i] != c.bytes()[i] ? 1 : 0;
+    }
+    EXPECT_GT(changed, a.bytes().size() / 2);
 }
 
 // ------------------------------------------------------------ well read

@@ -307,8 +307,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     support::ignore_sigpipe();
     support::check(!options.worker_exe.empty(), "FleetOptions.worker_exe must be set");
 
-    CampaignSpec spec = campaign_from_file(spec_path);
-    if (!options.backend.empty()) spec.base.linalg_backend = options.backend;
+    const CampaignSpec spec = campaign_from_file(spec_path);
     const std::vector<CampaignCell> grid = expand_grid(spec);
     const std::string digest = spec_digest(spec);
 
@@ -349,16 +348,8 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         threads = std::max<std::size_t>(1, hw / n_workers);
     }
 
-    // --chaos-kill is sugar for a generation-0 worker failpoint; every
-    // schedule is parsed up front so a typo aborts before any spawn.
-    std::vector<FleetOptions::WorkerFailpoint> worker_failpoints = options.worker_failpoints;
-    if (options.chaos_kill_worker >= 0 && options.chaos_kill_after > 0) {
-        worker_failpoints.push_back(
-            {options.chaos_kill_worker,
-             "worker.pre_ack_kill=kill@" + std::to_string(options.chaos_kill_after) +
-                 "#1"});
-    }
-    for (const FleetOptions::WorkerFailpoint& wf : worker_failpoints) {
+    // Every schedule is parsed up front so a typo aborts before any spawn.
+    for (const FleetOptions::WorkerFailpoint& wf : options.worker_failpoints) {
         (void)support::failpoint::parse(wf.spec);
     }
 
@@ -392,7 +383,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             throw support::ConfigError(
                 "--resume: ledger spec digest " + prior.spec_digest +
                 " does not match this campaign's digest " + digest +
-                " — the resumed run must use the same spec (and backend)");
+                " — the resumed run must use the same spec");
         }
         if (prior.cells_total != grid.size()) {
             throw support::ConfigError("--resume: ledger records " +
@@ -604,7 +595,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         // so the coordinator's own environment never leaks failpoints
         // into workers.
         std::string fp;
-        for (const FleetOptions::WorkerFailpoint& wf : worker_failpoints) {
+        for (const FleetOptions::WorkerFailpoint& wf : options.worker_failpoints) {
             const bool applies =
                 wf.slot < 0 || (wf.slot == w.slot && w.generation == 0);
             if (!applies) continue;
@@ -618,10 +609,6 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             "--dir", w.dir,
             "--expect-digest", digest,
             "--heartbeat-interval", support::fmt_roundtrip(options.heartbeat_interval_s)};
-        if (!options.backend.empty()) {
-            argv.push_back("--backend");
-            argv.push_back(options.backend);
-        }
 
         w.journal_offset = 0;
         w.header_seen = false;
@@ -911,8 +898,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
 int run_fleet_worker(const FleetWorkerOptions& options) {
     support::ignore_sigpipe();
 
-    CampaignSpec spec = campaign_from_file(options.campaign_path);
-    if (!options.backend.empty()) spec.base.linalg_backend = options.backend;
+    const CampaignSpec spec = campaign_from_file(options.campaign_path);
     const std::string digest = spec_digest(spec);
     if (!options.expect_digest.empty() && digest != options.expect_digest) {
         std::fprintf(stderr,

@@ -105,19 +105,10 @@ struct FleetOptions {
     std::size_t merge_every = 1;
     /// Hard cap on cells per lease; 0 = adaptive only.
     std::size_t max_lease = 0;
-    /// linalg backend override (applied before digesting, both sides).
-    std::string backend;
     /// Path to the sdlbench_fleet binary to exec as workers (argv[0]).
     std::string worker_exe;
     /// Print per-cell progress and worker lifecycle lines.
     bool log_progress = true;
-    /// Fault injection for the crash-recovery tests: worker
-    /// `chaos_kill_worker` raises SIGKILL on itself right after its
-    /// `chaos_kill_after`-th journal append — after the record is
-    /// durable, before the ack leaves. -1 disables. Sugar for a
-    /// worker_failpoints entry `worker.pre_ack_kill=kill@N#1`.
-    int chaos_kill_worker = -1;
-    std::size_t chaos_kill_after = 0;
     /// Failpoint schedules injected into workers via SDLBENCH_FAILPOINTS
     /// (the coordinator always sets that variable for its children, so
     /// its own environment never leaks into them). slot >= 0 applies to
@@ -182,6 +173,7 @@ struct FleetWorkerOptions {
     std::string campaign_path;
     std::string dir;            ///< this worker's journal directory
     std::string expect_digest;  ///< coordinator's spec digest (must match)
+    /// Unread; exists only until the campaign benchmark drops its references.
     std::string backend;
     double heartbeat_interval_s = 0.25;
 };

@@ -41,7 +41,6 @@ void ColorPickerApp::init_solver() {
     solver_options.seed = config.seed;
     solver_options.mixer = &runtime_->ot2().mixer();
     solver_options.target = config.target;
-    solver_options.linalg_backend = config.linalg_backend;
     solver_ = solver::make_solver(config.solver, solver_options);
 }
 

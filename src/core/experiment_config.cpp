@@ -26,9 +26,10 @@ ColorPickerConfig finalize_config(ColorPickerConfig config) {
                    "workcell.ot2_count is capped at 16 liquid handlers");
     support::check(config.workcell.manual_handling.to_seconds() >= 0.0,
                    "manual_handling cannot be negative");
-    // Resolve the backend name now so an unknown one fails at config
-    // time (ConfigError listing the valid set), not mid-campaign.
-    (void)linalg::backend_by_name(config.linalg_backend);
+    if (config.linalg_backend != "strict") {
+        throw support::ConfigError("unknown linalg backend '" + config.linalg_backend +
+                                   "' (only 'strict' exists)");
+    }
     config.sciclops.plate_rows = config.plate_rows;
     config.sciclops.plate_cols = config.plate_cols;
     // Derive device noise streams from the experiment seed so a seed fully

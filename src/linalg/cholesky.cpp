@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/backend.hpp"
 #include "support/common.hpp"
 
 namespace sdl::linalg {
 
-namespace detail {
+namespace {
 
-Matrix cholesky_factor_portable(const Matrix& a) {
+Matrix cholesky_factor(const Matrix& a) {
     const std::size_t n = a.rows();
     Matrix l(n, n);
     for (std::size_t j = 0; j < n; ++j) {
@@ -31,7 +30,7 @@ Matrix cholesky_factor_portable(const Matrix& a) {
     return l;
 }
 
-Vec solve_lower_portable(const Matrix& l, const Vec& b) {
+Vec forward_substitute(const Matrix& l, const Vec& b) {
     const std::size_t n = l.rows();
     Vec y(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -41,29 +40,6 @@ Vec solve_lower_portable(const Matrix& l, const Vec& b) {
     }
     return y;
 }
-
-void cholesky_extend_portable(Matrix& l_, const Vec& b, double c) {
-    const std::size_t n = l_.rows();
-    // New bottom row: l = L⁻¹ b — the same recurrence a full
-    // factorization would run for row n, in the same accumulation order.
-    const Vec l = solve_lower_portable(l_, b);
-    double d2 = c;
-    for (std::size_t k = 0; k < n; ++k) d2 -= l[k] * l[k];
-    if (!(d2 > 0.0) || !std::isfinite(d2)) {
-        throw support::Error("linalg",
-                             "extend: matrix is not positive definite (pivot " +
-                                 std::to_string(n) + ")");
-    }
-    Matrix grown(n + 1, n + 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) grown(i, j) = l_(i, j);
-    }
-    for (std::size_t k = 0; k < n; ++k) grown(n, k) = l[k];
-    grown(n, n) = std::sqrt(d2);
-    l_ = std::move(grown);
-}
-
-namespace {
 
 /// Shared L1-tiled multi-RHS forward-substitution sweep. Tiling keeps
 /// each tile's active slab L1-resident while the O(n^2) row sweep runs
@@ -105,29 +81,14 @@ void tiled_lower_sweep(const Matrix& l, Matrix& b, std::span<const double> weigh
 
 }  // namespace
 
-void solve_lower_multi_portable(const Matrix& l, Matrix& b) {
-    tiled_lower_sweep<false>(l, b, {}, {}, {});
-}
-
-void solve_lower_multi_fused_portable(const Matrix& l, Matrix& b,
-                                      std::span<const double> weights,
-                                      std::span<double> weighted_sums,
-                                      std::span<double> sq_norms) {
-    tiled_lower_sweep<true>(l, b, weights, weighted_sums, sq_norms);
-}
-
-}  // namespace detail
-
-Cholesky::Cholesky(const Matrix& a) : Cholesky(a, strict_backend()) {}
-
-Cholesky::Cholesky(const Matrix& a, const LinalgBackend& backend) : backend_(&backend) {
+Cholesky::Cholesky(const Matrix& a) {
     support::check(a.rows() == a.cols(), "cholesky: matrix must be square");
-    l_ = backend_->cholesky_factor(a);
+    l_ = cholesky_factor(a);
 }
 
 Vec Cholesky::solve_lower(const Vec& b) const {
     support::check(b.size() == size(), "cholesky solve: size mismatch");
-    return detail::solve_lower_portable(l_, b);
+    return forward_substitute(l_, b);
 }
 
 Vec Cholesky::solve(const Vec& b) const {
@@ -145,7 +106,7 @@ Vec Cholesky::solve(const Vec& b) const {
 
 void Cholesky::solve_lower_multi(Matrix& b) const {
     support::check(b.rows() == size(), "cholesky solve_lower_multi: size mismatch");
-    backend_->solve_lower_multi(l_, b);
+    tiled_lower_sweep<false>(l_, b, {}, {}, {});
 }
 
 void Cholesky::solve_lower_multi_fused(Matrix& b, std::span<const double> weights,
@@ -161,12 +122,29 @@ void Cholesky::solve_lower_multi_fused(Matrix& b, std::span<const double> weight
         weighted_sums[j] = 0.0;
         sq_norms[j] = 0.0;
     }
-    backend_->solve_lower_multi_fused(l_, b, weights, weighted_sums, sq_norms);
+    tiled_lower_sweep<true>(l_, b, weights, weighted_sums, sq_norms);
 }
 
 void Cholesky::extend(const Vec& b, double c) {
     support::check(b.size() == size(), "cholesky extend: size mismatch");
-    backend_->cholesky_extend(l_, b, c);
+    const std::size_t n = size();
+    // New bottom row: l = L⁻¹ b — the same recurrence a full
+    // factorization would run for row n, in the same accumulation order.
+    const Vec l = forward_substitute(l_, b);
+    double d2 = c;
+    for (std::size_t k = 0; k < n; ++k) d2 -= l[k] * l[k];
+    if (!(d2 > 0.0) || !std::isfinite(d2)) {
+        throw support::Error("linalg",
+                             "extend: matrix is not positive definite (pivot " +
+                                 std::to_string(n) + ")");
+    }
+    Matrix grown(n + 1, n + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) grown(i, j) = l_(i, j);
+    }
+    for (std::size_t k = 0; k < n; ++k) grown(n, k) = l[k];
+    grown(n, n) = std::sqrt(d2);
+    l_ = std::move(grown);
 }
 
 double Cholesky::log_det() const noexcept {
@@ -176,12 +154,6 @@ double Cholesky::log_det() const noexcept {
 }
 
 Cholesky cholesky_with_jitter(Matrix a, double initial_jitter, int max_attempts) {
-    return cholesky_with_jitter(std::move(a), strict_backend(), initial_jitter,
-                                max_attempts);
-}
-
-Cholesky cholesky_with_jitter(Matrix a, const LinalgBackend& backend,
-                              double initial_jitter, int max_attempts) {
     double jitter = initial_jitter;
     // Scale the first jitter to the matrix magnitude so tiny and huge
     // kernels both factor on early attempts.
@@ -189,13 +161,13 @@ Cholesky cholesky_with_jitter(Matrix a, const LinalgBackend& backend,
     if (scale > 0.0) jitter *= scale;
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
         try {
-            return Cholesky(a, backend);
+            return Cholesky(a);
         } catch (const support::Error&) {
             a.add_diagonal(jitter);
             jitter *= 10.0;
         }
     }
-    return Cholesky(a, backend);  // Final attempt; propagate its error if it fails.
+    return Cholesky(a);  // Final attempt; propagate its error if it fails.
 }
 
 }  // namespace sdl::linalg

@@ -2,10 +2,9 @@
 //
 // The Gaussian-process solver factors its kernel matrix once per fit and
 // reuses the factor for solves and log-determinants (marginal likelihood).
-// The factorization, rank-1 extension, and multi-RHS sweeps are routed
-// through a LinalgBackend (linalg/backend.hpp); the default is the
-// strict portable reference, which keeps the repo's bitwise-identity
-// contract intact.
+// These kernels are the bitwise reference of the repo's reproducibility
+// contract (same spec => byte-identical campaign.json); test_linalg pins
+// their bits against independent scalar loops.
 #pragma once
 
 #include <span>
@@ -14,37 +13,12 @@
 
 namespace sdl::linalg {
 
-class LinalgBackend;
-
-namespace detail {
-
-/// The portable reference kernels. These are the algorithms Cholesky has
-/// always run, extracted as free functions so the strict LinalgBackend
-/// delegates to the exact same code instead of a copy that could drift.
-/// Their bits define the reproducibility contract; do not "optimize"
-/// them — that is what other backends are for.
-[[nodiscard]] Matrix cholesky_factor_portable(const Matrix& a);
-[[nodiscard]] Vec solve_lower_portable(const Matrix& l, const Vec& b);
-void cholesky_extend_portable(Matrix& l, const Vec& b, double c);
-void solve_lower_multi_portable(const Matrix& l, Matrix& b);
-/// `weighted_sums` / `sq_norms` must arrive zeroed; accumulates into them.
-void solve_lower_multi_fused_portable(const Matrix& l, Matrix& b,
-                                      std::span<const double> weights,
-                                      std::span<double> weighted_sums,
-                                      std::span<double> sq_norms);
-
-}  // namespace detail
-
 class Cholesky {
 public:
-    /// Factors A = L Lᵀ with the strict (bitwise reference) backend.
-    /// Throws Error("linalg") if A is not (numerically) positive
-    /// definite; callers typically add jitter and retry.
+    /// Factors A = L Lᵀ. Throws Error("linalg") if A is not
+    /// (numerically) positive definite; callers typically add jitter
+    /// and retry.
     explicit Cholesky(const Matrix& a);
-
-    /// Factors with an explicit backend; subsequent extend() and
-    /// multi-RHS solves run on the same backend.
-    Cholesky(const Matrix& a, const LinalgBackend& backend);
 
     /// Solves A x = b via forward + back substitution.
     [[nodiscard]] Vec solve(const Vec& b) const;
@@ -58,10 +32,10 @@ public:
     /// The update is blocked by rows — row i is finished with one axpy
     /// per prior row, each contiguous across all m systems — so the
     /// inner loops vectorize where the per-column dependency chain of
-    /// solve_lower cannot. Under the strict backend every column's
-    /// result is bitwise identical to solve_lower on that column: per
-    /// element the same multiplies and subtractions run in the same
-    /// order, only interleaved across columns.
+    /// solve_lower cannot. Every column's result is bitwise identical
+    /// to solve_lower on that column: per element the same multiplies
+    /// and subtractions run in the same order, only interleaved across
+    /// columns.
     void solve_lower_multi(Matrix& b) const;
 
     /// solve_lower_multi fused with the two reductions GP batch
@@ -72,9 +46,8 @@ public:
     ///   sq_norms[j]      = sum_i Y(i, j)^2
     ///     (accumulated as row i is finished — for the GP this is the
     ///      variance reduction |L^-1 k_*|^2).
-    /// Under the strict backend both reductions accumulate in
-    /// ascending-row order, matching dot(b, weights) and dot(y, y)
-    /// bitwise. Spans must have size m.
+    /// Both reductions accumulate in ascending-row order, matching
+    /// dot(b, weights) and dot(y, y) bitwise. Spans must have size m.
     void solve_lower_multi_fused(Matrix& b, std::span<const double> weights,
                                  std::span<double> weighted_sums,
                                  std::span<double> sq_norms) const;
@@ -85,30 +58,22 @@ public:
     /// Rank-1 extension: grows the factor of the n×n matrix A to the
     /// factor of [[A, b], [bᵀ, c]] in O(n²) — one forward substitution
     /// for the new row plus a copy — instead of the O(n³) refactorization.
-    /// Under the strict backend the arithmetic matches a from-scratch
-    /// Cholesky of the extended matrix operation for operation, so the
-    /// result is bitwise identical to refactoring. Throws Error("linalg")
-    /// when the extended matrix is not positive definite (the factor is
-    /// left unchanged).
+    /// The arithmetic matches a from-scratch Cholesky of the extended
+    /// matrix operation for operation, so the result is bitwise identical
+    /// to refactoring. Throws Error("linalg") when the extended matrix is
+    /// not positive definite (the factor is left unchanged).
     void extend(const Vec& b, double c);
 
     [[nodiscard]] const Matrix& lower() const noexcept { return l_; }
     [[nodiscard]] std::size_t size() const noexcept { return l_.rows(); }
-    [[nodiscard]] const LinalgBackend& backend() const noexcept { return *backend_; }
 
 private:
     Matrix l_;
-    const LinalgBackend* backend_;
 };
 
 /// Factors A + jitter·I, growing jitter geometrically until the
-/// factorization succeeds (at most `max_attempts` tries). Strict backend.
+/// factorization succeeds (at most `max_attempts` tries).
 [[nodiscard]] Cholesky cholesky_with_jitter(Matrix a, double initial_jitter = 1e-10,
-                                            int max_attempts = 8);
-
-/// Same, on an explicit backend.
-[[nodiscard]] Cholesky cholesky_with_jitter(Matrix a, const LinalgBackend& backend,
-                                            double initial_jitter = 1e-10,
                                             int max_attempts = 8);
 
 }  // namespace sdl::linalg

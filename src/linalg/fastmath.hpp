@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <span>
 
+#include "linalg/matrix.hpp"
+
 namespace sdl::linalg {
 
 /// exp(x) for x in [-708, 709] (inputs outside are clamped), accurate to
@@ -73,6 +75,36 @@ namespace sdl::linalg {
 /// scalar form whether or not the compiler vectorizes it.
 inline void vexp(std::span<const double> x, std::span<double> out) noexcept {
     for (std::size_t i = 0; i < x.size(); ++i) out[i] = fast_exp(x[i]);
+}
+
+/// In-place map of a squared-distance matrix to RBF kernel values:
+///   d2(i, j) -> signal_var * exp(-0.5 * d2(i, j) / lengthscale^2)
+/// Exactly the operations rbf_kernel runs per element — the same
+/// -0.5*d2/(l*l) argument, the same fast_exp (via vexp), and the
+/// signal-variance scale — so each entry carries rbf_kernel's bits.
+inline void rbf_from_sq_dist(Matrix& d2, double signal_var, double lengthscale) noexcept {
+    const std::size_t rows = d2.rows();
+    const std::size_t m = d2.cols();
+    for (std::size_t i = 0; i < rows; ++i) {
+        const std::span<double> row = d2.row(i);
+        for (std::size_t j = 0; j < m; ++j) {
+            row[j] = -0.5 * row[j] / (lengthscale * lengthscale);
+        }
+        vexp(row, row);
+        for (std::size_t j = 0; j < m; ++j) row[j] = signal_var * row[j];
+    }
+}
+
+/// One RBF kernel value for a single pair of points; the squared
+/// distance accumulates in ascending-dimension order, like cross_sq_dist.
+[[nodiscard]] inline double rbf_kernel(std::span<const double> a, std::span<const double> b,
+                                       double signal_var, double lengthscale) noexcept {
+    double d2 = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const double d = a[i] - b[i];
+        d2 += d * d;
+    }
+    return signal_var * fast_exp(-0.5 * d2 / (lengthscale * lengthscale));
 }
 
 /// lround-style rounding (half away from zero) without the libm call —

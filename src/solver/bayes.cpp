@@ -5,7 +5,7 @@
 #include <memory>
 #include <numbers>
 
-#include "linalg/backend.hpp"
+#include "linalg/fastmath.hpp"
 #include "linalg/matrix.hpp"
 #include "support/common.hpp"
 #include "support/thread_pool.hpp"
@@ -19,13 +19,9 @@ double normal_pdf(double z) noexcept {
 double normal_cdf(double z) noexcept { return 0.5 * std::erfc(-z / std::numbers::sqrt2); }
 }  // namespace
 
-const linalg::LinalgBackend& GaussianProcess::backend() const noexcept {
-    return backend_ != nullptr ? *backend_ : linalg::strict_backend();
-}
-
 double GaussianProcess::kernel(std::span<const double> a, std::span<const double> b,
                                const Hyperparams& p) const noexcept {
-    return backend().rbf_kernel(a, b, p.signal_var, p.lengthscale);
+    return linalg::rbf_kernel(a, b, p.signal_var, p.lengthscale);
 }
 
 linalg::Matrix GaussianProcess::train_matrix() const {
@@ -41,14 +37,14 @@ linalg::Matrix GaussianProcess::train_matrix() const {
 
 linalg::Matrix GaussianProcess::kernel_matrix(const Hyperparams& p) const {
     // Assembled with the batch kernels (one cross_sq_dist + one RBF
-    // map) instead of n^2 scalar kernel() calls. On the strict backend
-    // each entry carries kernel()'s exact bits: the squared distance
-    // accumulates in the same ascending-dimension order, and the RBF
-    // map runs the same expression sequence (matrix.hpp, backend.cpp).
+    // map) instead of n^2 scalar kernel() calls. Each entry carries
+    // kernel()'s exact bits: the squared distance accumulates in the
+    // same ascending-dimension order, and the RBF map runs the same
+    // expression sequence (matrix.hpp, fastmath.hpp).
     const std::size_t n = xs_.size();
     const linalg::Matrix train = train_matrix();
-    linalg::Matrix k = backend().cross_sq_dist(train, train);
-    backend().rbf_from_sq_dist(k, p.signal_var, p.lengthscale);
+    linalg::Matrix k = linalg::cross_sq_dist(train, train);
+    linalg::rbf_from_sq_dist(k, p.signal_var, p.lengthscale);
     for (std::size_t i = 0; i < n; ++i) k(i, i) += p.noise_var;
     return k;
 }
@@ -62,7 +58,7 @@ double GaussianProcess::lml_terms(const linalg::Cholesky& chol,
 
 void GaussianProcess::factorize(const Hyperparams& p) {
     chol_ = std::make_unique<linalg::Cholesky>(
-        linalg::cholesky_with_jitter(kernel_matrix(p), backend()));
+        linalg::cholesky_with_jitter(kernel_matrix(p)));
     alpha_ = chol_->solve(ys_std_);
     params_ = p;
 }
@@ -82,7 +78,7 @@ double GaussianProcess::log_marginal_likelihood(const Hyperparams& p) const {
         return lml_terms(*chol_, alpha_);
     }
     const linalg::Cholesky chol =
-        linalg::cholesky_with_jitter(kernel_matrix(p), backend());
+        linalg::cholesky_with_jitter(kernel_matrix(p));
     return lml_terms(chol, chol.solve(ys_std_));
 }
 
@@ -148,7 +144,7 @@ void GaussianProcess::fit(std::vector<std::vector<double>> xs, std::vector<doubl
         for (const double noise : {1e-3, 1e-2, 1e-1}) {
             const Hyperparams p{lengthscale, noise, 1.0};
             auto chol = std::make_unique<linalg::Cholesky>(
-                linalg::cholesky_with_jitter(kernel_matrix(p), backend()));
+                linalg::cholesky_with_jitter(kernel_matrix(p)));
             linalg::Vec alpha = chol->solve(ys_std_);
             const double lml = lml_terms(*chol, alpha);
             if (lml > best_lml) {
@@ -193,12 +189,12 @@ std::vector<GaussianProcess::Prediction> GaussianProcess::predict_batch(
 
     const linalg::Matrix train = train_matrix();
 
-    // Cross-kernel matrix, column j = k(train, x_j): one backend
-    // cross_sq_dist plus one backend RBF map. On the strict backend each
-    // entry carries kernel()'s bits (same -0.5*d2/(l*l) argument, same
-    // fast_exp via its array form, same signal-variance scale).
-    linalg::Matrix kx = backend().cross_sq_dist(train, x);
-    backend().rbf_from_sq_dist(kx, params_.signal_var, params_.lengthscale);
+    // Cross-kernel matrix, column j = k(train, x_j): one cross_sq_dist
+    // plus one RBF map. Each entry carries kernel()'s bits (same
+    // -0.5*d2/(l*l) argument, same fast_exp via its array form, same
+    // signal-variance scale).
+    linalg::Matrix kx = linalg::cross_sq_dist(train, x);
+    linalg::rbf_from_sq_dist(kx, params_.signal_var, params_.lengthscale);
 
     // One fused sweep: multi-RHS forward substitution plus the mean and
     // |L^-1 k_*|^2 reductions.
@@ -326,7 +322,6 @@ std::vector<std::vector<double>> BayesSolver::ask(std::size_t n) {
     // re-fitting a fresh O(n³) GP (which also forgot the optimized
     // hyperparameters) for every pick.
     GaussianProcess gp;
-    if (config_.backend != nullptr) gp.set_backend(*config_.backend);
     gp.fit(xs, ys, /*optimize=*/true);
     double best_y = ys.front();
     for (const double y : ys) best_y = std::min(best_y, y);

@@ -17,8 +17,7 @@ struct SolverOptions {
     /// Needed only by the oracle baseline.
     const color::BeerLambertMixer* mixer = nullptr;
     color::Rgb8 target{120, 120, 120};
-    /// Linalg backend name for GP-based solvers (linalg/backend.hpp);
-    /// other solvers ignore it. Unknown names throw ConfigError.
+    /// Unread; exists only until the campaign benchmark drops its references.
     std::string linalg_backend = "strict";
 };
 

@@ -68,7 +68,7 @@ compare_outputs("${WORK_DIR}/fleet" "clean fleet run")
 # report the loss and salvage the journaled cell.
 execute_process(
   COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/fleet_kill"
-          --workers 3 --chaos-kill 1:1
+          --workers 3 --worker-failpoints "1:worker.pre_ack_kill=kill@1#1"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "chaos fleet run failed (${rc})\n${out}\n${err}")
@@ -113,10 +113,17 @@ if(NOT rc EQUAL 0)
 endif()
 execute_process(
   COMMAND "${FLEET}" --campaign "${WORK_DIR}/eight.yaml"
-          "${WORK_DIR}/fleet_relase" --workers 2 --chaos-kill 0:1
+          "${WORK_DIR}/fleet_relase" --workers 2
+          --worker-failpoints "0:worker.pre_ack_kill=kill@1#1"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "re-lease fleet run failed (${rc})\n${out}\n${err}")
+endif()
+string(FIND "${err}" "worker w0 lost" lost)
+if(lost EQUAL -1)
+  message(FATAL_ERROR
+    "re-lease run never reported the killed worker — the kill did not land\n"
+    "${out}\n${err}")
 endif()
 string(FIND "${err}" "re-leasing 1" releases)
 if(releases EQUAL -1)

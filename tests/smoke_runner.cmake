@@ -1,7 +1,8 @@
 # ctest -P helper: run SMOKE_BINARY [SMOKE_ARGS], fail on nonzero exit,
 # and when SMOKE_EXPECT is set require it as a substring of the output.
 # SMOKE_EXPECT_FAIL=1 inverts the exit-code check (the binary must fail)
-# — used by the negative-path smokes, e.g. an unknown --backend name.
+# — used by the negative-path smokes, e.g. an unknown generated-scenario
+# reference.
 if(NOT DEFINED SMOKE_BINARY)
   message(FATAL_ERROR "smoke_runner.cmake: SMOKE_BINARY not set")
 endif()

@@ -245,32 +245,6 @@ TEST(Campaign, ResultJsonCarriesTheSharedSchema) {
     EXPECT_EQ(doc.at("aggregates").size(), 1u);
 }
 
-TEST(Campaign, NonDefaultBackendIsRecordedPerCell) {
-    // A fast-backend campaign must say so in every per-cell result
-    // record; a strict campaign must omit the key entirely (so the
-    // reference documents stay byte-identical across releases).
-    support::set_log_level(support::LogLevel::Error);
-    CampaignSpec spec = tiny_spec();
-    spec.axes.solvers = {"bayesian"};
-    spec.base.linalg_backend = "fast";
-    CampaignRunnerOptions options;
-    options.log_progress = false;
-    const auto results = CampaignRunner(options).run(spec);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].cell.config.linalg_backend, "fast");
-
-    const auto doc = campaign_results_to_json(spec, results);
-    const auto& cell_result = doc.at("cells").as_array()[0].at("result");
-    ASSERT_TRUE(cell_result.contains("linalg_backend"));
-    EXPECT_EQ(cell_result.at("linalg_backend").as_string(), "fast");
-
-    spec.base.linalg_backend = "strict";
-    const auto strict_results = CampaignRunner(options).run(spec);
-    const auto strict_doc = campaign_results_to_json(spec, strict_results);
-    EXPECT_FALSE(
-        strict_doc.at("cells").as_array()[0].at("result").contains("linalg_backend"));
-}
-
 // -------------------------------------------------------------- YAML I/O
 
 TEST(CampaignIo, ParsesFullDocument) {

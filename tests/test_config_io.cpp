@@ -5,7 +5,6 @@
 
 #include "core/colorpicker.hpp"
 #include "core/config_io.hpp"
-#include "linalg/backend.hpp"
 #include "support/common.hpp"
 #include "support/yaml.hpp"
 
@@ -67,6 +66,10 @@ TEST(ConfigIo, RejectsUnknownKeys) {
                  support::ConfigError);
     EXPECT_THROW((void)config_from_yaml("experimnt:\n  seed: 1\n"), support::ConfigError);
     EXPECT_THROW((void)config_from_yaml("plate:\n  depth: 2\n"), support::ConfigError);
+    // There is no linalg backend key: spec files that name one fail
+    // loudly rather than being silently ignored.
+    EXPECT_THROW((void)config_from_yaml("linalg_backend: strict\n"), support::ConfigError);
+    EXPECT_THROW((void)config_from_yaml("linalg_backend: fast\n"), support::ConfigError);
 }
 
 TEST(ConfigIo, RejectsBadValues) {
@@ -77,6 +80,10 @@ TEST(ConfigIo, RejectsBadValues) {
     EXPECT_THROW((void)config_from_yaml("experiment:\n  objective: hsv\n"),
                  support::ConfigError);
     EXPECT_THROW((void)config_from_yaml("just a scalar"), support::Error);
+    // finalize_config refuses any linalg backend but the strict kernels.
+    ColorPickerConfig fast;
+    fast.linalg_backend = "fast";
+    EXPECT_THROW((void)finalize_config(std::move(fast)), support::ConfigError);
 }
 
 TEST(ConfigIo, RoundTripThroughYaml) {
@@ -102,38 +109,6 @@ TEST(ConfigIo, RoundTripThroughYaml) {
     EXPECT_EQ(back.experiment_id, "round_trip");
     EXPECT_EQ(back.plate_rows, 2);
     EXPECT_DOUBLE_EQ(back.faults.command_rejection_prob, 0.125);
-}
-
-TEST(ConfigIo, LinalgBackendRoundTripsAndRejectsUnknown) {
-    // The default tracks the process default (strict, unless the
-    // SDLBENCH_LINALG_BACKEND env hook says otherwise — CI's
-    // backend-matrix leg runs this very test under `fast`), and a
-    // strict config OMITS the key on dump — the emission rule that
-    // keeps reference-run YAML byte-identical across releases.
-    ColorPickerConfig config;
-    EXPECT_EQ(config.linalg_backend, sdl::linalg::default_backend_name());
-    config.linalg_backend = "strict";
-    EXPECT_EQ(config_to_yaml(config).find("linalg_backend"), std::string::npos);
-
-    // A non-default backend is written and survives the round trip.
-    config.linalg_backend = "fast";
-    const std::string dumped = config_to_yaml(config);
-    EXPECT_NE(dumped.find("linalg_backend: fast"), std::string::npos);
-    EXPECT_EQ(config_from_yaml(dumped).linalg_backend, "fast");
-    EXPECT_EQ(config_from_yaml("linalg_backend: strict\n").linalg_backend, "strict");
-
-    // Unknown names fail loudly at parse time, naming the valid set.
-    try {
-        (void)config_from_yaml("linalg_backend: blas\n");
-        FAIL() << "unknown linalg_backend must throw";
-    } catch (const support::ConfigError& e) {
-        EXPECT_NE(std::string(e.what()).find("blas"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("strict, fast"), std::string::npos);
-    }
-    // finalize_config re-validates configs built programmatically.
-    ColorPickerConfig bad;
-    bad.linalg_backend = "gpu";
-    EXPECT_THROW((void)finalize_config(std::move(bad)), support::ConfigError);
 }
 
 TEST(ConfigIo, LoadsFromFile) {

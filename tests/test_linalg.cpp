@@ -2,7 +2,11 @@
 // least squares) that the GP solver and the vision grid fit rely on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/fastmath.hpp"
@@ -407,6 +411,157 @@ TEST(RobustLstsq, IgnoresGrossOutliers) {
     const Vec robust = robust_lstsq(a, b, 0.1);
     EXPECT_GT(std::fabs(ols[0] - 3.0), 1.0);
     EXPECT_NEAR(robust[0], 3.0, 0.5);
+}
+
+// ------------------------------------------------ bitwise reference
+
+namespace {
+
+/// The randomized n (training points) x d (dims) x C (candidates)
+/// sweep grid. Sizes straddle the solver's real shapes (n up to the GP
+/// max_points neighborhood, C around the 512-candidate pools) plus the
+/// degenerate edges (n = 1, C = 1, odd sizes that leave unroll tails).
+struct CaseShape {
+    std::size_t n, d, c;
+};
+constexpr CaseShape kShapes[] = {
+    {1, 2, 1},   {2, 3, 7},   {3, 4, 17},   {5, 4, 33},  {8, 4, 48},
+    {13, 3, 64}, {21, 4, 95}, {33, 4, 100}, {48, 6, 128}, {64, 4, 257},
+};
+constexpr std::uint64_t kShapeSeeds[] = {11, 29, 47};
+
+Matrix random_matrix(Rng& rng, std::size_t rows, std::size_t cols, double lo, double hi) {
+    Matrix m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) m(r, c) = rng.uniform(lo, hi);
+    }
+    return m;
+}
+
+/// Random points in the solver's native domain (mixing ratios live in
+/// [0, 1]^d).
+Matrix random_points(Rng& rng, std::size_t n, std::size_t d) {
+    return random_matrix(rng, n, d, 0.0, 1.0);
+}
+
+/// RBF gram matrix plus a noise nugget — the SPD input the GP factors.
+Matrix gram_matrix(const Matrix& pts, double lengthscale, double noise) {
+    Matrix k = cross_sq_dist(pts, pts);
+    rbf_from_sq_dist(k, 1.0, lengthscale);
+    for (std::size_t i = 0; i < k.rows(); ++i) k(i, i) += noise;
+    return k;
+}
+
+std::uint64_t bits(double x) noexcept { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bits_equal(std::span<const double> ref, std::span<const double> got,
+                       const std::string& what) {
+    ASSERT_EQ(ref.size(), got.size()) << what;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (bits(ref[i]) != bits(got[i])) {
+            ADD_FAILURE() << what << ": element " << i << " differs: ref " << ref[i]
+                          << " (0x" << std::hex << bits(ref[i]) << ") vs got "
+                          << got[i] << " (0x" << bits(got[i]) << ")";
+            return;  // one mismatch per call keeps the log readable
+        }
+    }
+}
+
+void expect_bits_equal(const Matrix& ref, const Matrix& got, const std::string& what) {
+    ASSERT_EQ(ref.rows(), got.rows()) << what;
+    ASSERT_EQ(ref.cols(), got.cols()) << what;
+    for (std::size_t r = 0; r < ref.rows(); ++r) {
+        expect_bits_equal(ref.row(r), got.row(r), what + " row " + std::to_string(r));
+    }
+}
+
+// Independent scalar re-implementations of the historical kernels. The
+// library kernels must match these bit for bit; they are deliberately
+// written out again here (not calls into src/linalg) so the reference
+// cannot drift together with the implementation.
+
+Matrix reference_cross_sq_dist(const Matrix& a, const Matrix& b) {
+    Matrix out(a.rows(), b.rows());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < b.rows(); ++j) {
+            double d2 = 0.0;
+            for (std::size_t k = 0; k < a.cols(); ++k) {
+                const double diff = a(i, k) - b(j, k);
+                d2 += diff * diff;
+            }
+            out(i, j) = d2;
+        }
+    }
+    return out;
+}
+
+Matrix reference_cholesky_factor(const Matrix& a) {
+    const std::size_t n = a.rows();
+    Matrix l(n, n);
+    for (std::size_t j = 0; j < n; ++j) {
+        double diag = a(j, j);
+        for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
+        const double ljj = std::sqrt(diag);
+        l(j, j) = ljj;
+        for (std::size_t i = j + 1; i < n; ++i) {
+            double s = a(i, j);
+            for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+            l(i, j) = s / ljj;
+        }
+    }
+    return l;
+}
+
+Matrix reference_rbf_from_sq_dist(Matrix d2, double sv, double ls) {
+    for (std::size_t i = 0; i < d2.rows(); ++i) {
+        for (std::size_t j = 0; j < d2.cols(); ++j) {
+            d2(i, j) = sv * fast_exp(-0.5 * d2(i, j) / (ls * ls));
+        }
+    }
+    return d2;
+}
+
+/// Naive per-column forward substitution.
+Matrix reference_solve_lower_multi(const Matrix& l, Matrix b) {
+    const std::size_t n = l.rows();
+    for (std::size_t col = 0; col < b.cols(); ++col) {
+        for (std::size_t i = 0; i < n; ++i) {
+            double s = b(i, col);
+            for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * b(k, col);
+            b(i, col) = s / l(i, i);
+        }
+    }
+    return b;
+}
+
+}  // namespace
+
+TEST(ReferenceKernels, MatchHistoricalKernelsBitwise) {
+    for (const std::uint64_t seed : kShapeSeeds) {
+        for (const CaseShape& shape : kShapes) {
+            Rng rng(seed * 7919 + shape.n * 131 + shape.c);
+            const Matrix pts = random_points(rng, shape.n, shape.d);
+            const Matrix queries = random_matrix(rng, shape.c, shape.d, -0.5, 1.5);
+
+            const Matrix d2 = cross_sq_dist(pts, queries);
+            expect_bits_equal(reference_cross_sq_dist(pts, queries), d2, "cross_sq_dist");
+
+            Matrix rbf = d2;
+            rbf_from_sq_dist(rbf, 1.0, 0.3);
+            expect_bits_equal(reference_rbf_from_sq_dist(d2, 1.0, 0.3), rbf,
+                              "rbf_from_sq_dist");
+
+            const Matrix gram = gram_matrix(pts, 0.3, 1e-2);
+            const Cholesky chol(gram);
+            expect_bits_equal(reference_cholesky_factor(gram), chol.lower(),
+                              "cholesky factor");
+
+            Matrix b = random_matrix(rng, shape.n, shape.c, -1.0, 1.0);
+            const Matrix expected = reference_solve_lower_multi(chol.lower(), b);
+            chol.solve_lower_multi(b);
+            expect_bits_equal(expected, b, "solve_lower_multi");
+        }
+    }
 }
 
 // Property sweep: solve accuracy holds across sizes.

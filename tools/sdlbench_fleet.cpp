@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "campaign/fleet.hpp"
-#include "linalg/backend.hpp"
 #include "support/failpoint.hpp"
 #include "support/log.hpp"
 
@@ -62,8 +61,6 @@ void print_usage(std::FILE* stream) {
         "                           completed cells (default 1: fully live)\n"
         "  --max-lease <n>          cap cells per lease (default adaptive:\n"
         "                           ceil(pending / (2 x workers)))\n"
-        "  --backend <name>         linalg backend override (strict | fast),\n"
-        "                           applied on both sides of the digest\n"
         "  --resume                 restart a killed coordinator from output_dir's\n"
         "                           coordinator.jsonl ledger + worker journals\n"
         "  --quarantine-after <k>   quarantine a cell after it crashes k distinct\n"
@@ -80,8 +77,6 @@ void print_usage(std::FILE* stream) {
         "  --worker-failpoints <w|*>:<spec>\n"
         "                           inject <spec> into worker slot w (generation\n"
         "                           0 only) or '*' (every incarnation); repeatable\n"
-        "  --chaos-kill <w>:<k>     sugar for --worker-failpoints\n"
-        "                           w:worker.pre_ack_kill=kill@k#1\n"
         "\n"
         "Writes campaign.json, campaign.csv and a fused whole-grid cells.jsonl\n"
         "to [output_dir] (default sdlbench_fleet_out); per-worker journals\n"
@@ -125,8 +120,6 @@ int worker_main(const std::vector<std::string>& args) {
             options.dir = value();
         } else if (args[i] == "--expect-digest") {
             options.expect_digest = value();
-        } else if (args[i] == "--backend") {
-            options.backend = value();
         } else if (args[i] == "--heartbeat-interval") {
             if (!parse_double(value(), options.heartbeat_interval_s)) {
                 std::fprintf(stderr, "fleet worker: bad --heartbeat-interval\n");
@@ -194,8 +187,6 @@ int main(int argc, char** argv) {
         std::string text;
         if (*it == "--campaign") {
             if (!take_value("--campaign", campaign_path)) return 2;
-        } else if (*it == "--backend") {
-            if (!take_value("--backend", options.backend)) return 2;
         } else if (*it == "--workers") {
             if (!take_value("--workers", text)) return 2;
             if (!parse_size(text, options.workers) || options.workers == 0) {
@@ -226,19 +217,6 @@ int main(int argc, char** argv) {
                 std::fprintf(stderr, "error: --heartbeat-timeout needs seconds > 0\n");
                 return 2;
             }
-        } else if (*it == "--chaos-kill") {
-            if (!take_value("--chaos-kill", text)) return 2;
-            const std::size_t colon = text.find(':');
-            std::size_t worker = 0;
-            std::size_t after = 0;
-            if (colon == std::string::npos ||
-                !parse_size(text.substr(0, colon), worker) ||
-                !parse_size(text.substr(colon + 1), after) || after == 0) {
-                std::fprintf(stderr, "error: --chaos-kill needs <worker>:<k>\n");
-                return 2;
-            }
-            options.chaos_kill_worker = static_cast<int>(worker);
-            options.chaos_kill_after = after;
         } else if (*it == "--worker-failpoints") {
             if (!take_value("--worker-failpoints", text)) return 2;
             const std::size_t colon = text.find(':');
@@ -311,7 +289,6 @@ int main(int argc, char** argv) {
 
     support::set_log_level(support::LogLevel::Warn);
     try {
-        if (!options.backend.empty()) (void)linalg::backend_by_name(options.backend);
         const campaign::FleetResult fleet = campaign::run_fleet(campaign_path, out_dir,
                                                                 options);
         const campaign::FleetSummary& s = fleet.summary;

@@ -251,6 +251,16 @@ namespace {
 
 }  // namespace
 
+CompleteLines split_complete_lines(std::string_view text) {
+    CompleteLines split;
+    for (std::size_t nl = text.find('\n'); nl != std::string_view::npos;
+         nl = text.find('\n', split.consumed)) {
+        split.lines.emplace_back(text.substr(split.consumed, nl - split.consumed));
+        split.consumed = nl + 1;
+    }
+    return split;
+}
+
 std::size_t journal_progress(const std::string& path,
                              const CampaignSpec& spec) noexcept {
     try {
@@ -262,12 +272,7 @@ std::size_t journal_progress(const std::string& path,
         // Only '\n'-terminated lines count: a torn final fragment (kill
         // mid-append) is not a completed record — counting it would let
         // an almost-finished crashed run masquerade as complete.
-        std::vector<std::string> lines;
-        std::size_t start = 0;
-        for (std::size_t nl = text.find('\n', start); nl != std::string::npos;
-             start = nl + 1, nl = text.find('\n', start)) {
-            lines.push_back(text.substr(start, nl - start));
-        }
+        const std::vector<std::string> lines = split_complete_lines(text).lines;
         if (lines.empty()) return 0;
         const json::Value header = json::parse(lines.front());
         if (header.get_or("schema", std::string()) != kJournalSchema ||
@@ -375,22 +380,11 @@ LoadedJournal load_journal(const std::string& path, const CampaignSpec& spec,
     buffer << file.rdbuf();
     const std::string text = buffer.str();
 
-    // Split into lines; a final fragment without '\n' is the torn tail a
-    // kill mid-append leaves behind.
-    std::vector<std::string> lines;
-    std::string torn_tail;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos) {
-            torn_tail = text.substr(start);
-            break;
-        }
-        lines.push_back(text.substr(start, nl - start));
-        start = nl + 1;
-    }
+    const CompleteLines split = split_complete_lines(text);
+    const std::vector<std::string>& lines = split.lines;
+    const bool torn_tail = split.consumed < text.size();
     if (lines.empty()) {
-        reject(path, torn_tail.empty()
+        reject(path, !torn_tail
                          ? "journal is empty"
                          : "header record is truncated — the run died before "
                            "checkpointing anything; start fresh without --resume");
@@ -431,7 +425,7 @@ LoadedJournal load_journal(const std::string& path, const CampaignSpec& spec,
                              e.what());
         }
     }
-    if (!torn_tail.empty()) loaded.dropped_torn_tail = true;
+    loaded.dropped_torn_tail = torn_tail;
     return loaded;
 }
 

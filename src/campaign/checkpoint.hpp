@@ -130,6 +130,16 @@ struct LoadedJournal {
                                            const std::vector<CampaignCell>& grid,
                                            const std::string& path);
 
+/// The '\n'-terminated lines of `text`, without their '\n'. A final
+/// fragment with no '\n' is not a line: it is the torn tail a kill
+/// mid-append leaves behind (or a record still being written), and it
+/// starts at `consumed`.
+struct CompleteLines {
+    std::vector<std::string> lines;
+    std::size_t consumed = 0;  ///< offset just past the last '\n'
+};
+[[nodiscard]] CompleteLines split_complete_lines(std::string_view text);
+
 /// Number of cell records in the journal at `path` IF it belongs to
 /// `spec` (header parses, spec digest matches) and is an *incomplete*
 /// run — i.e. progress a fresh run would destroy; 0 otherwise. A

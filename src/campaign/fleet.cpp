@@ -2,23 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <iterator>
 #include <memory>
 #include <thread>
 #include <utility>
 
 #include "campaign/campaign_io.hpp"
 #include "campaign/checkpoint.hpp"
-#include "campaign/cost_model.hpp"
-#include "campaign/lease.hpp"
+#include "campaign/coordinator.hpp"
 #include "campaign/report.hpp"
 #include "core/colorpicker.hpp"
 #include "support/atomic_io.hpp"
@@ -136,169 +132,244 @@ std::string format_lease(const std::vector<std::size_t>& cells) {
 
 std::string format_stop() { return "stop"; }
 
-// ------------------------------------------------------------ coordinator
+// ----------------------------------------------------------------- driver
 
 namespace {
 
-namespace json = support::json;
+std::string ledger_path(const std::string& out_dir) {
+    return out_dir + "/coordinator.jsonl";
+}
 
-/// One worker slot. The slot outlives process deaths: each respawn gets
-/// a fresh incarnation (process + journal directory) while the slot
-/// keeps the crash/backoff bookkeeping.
-struct WorkerState {
-    int slot = 0;
-    int generation = -1;    ///< -1 = never spawned; spawn pre-increments
-    long incarnation = -1;  ///< unique per spawned process (ledger-sequenced)
-    std::string dir;
-    support::ChildProcess proc;
+/// `path`'s bytes from `offset` on; empty when the file does not exist.
+std::string read_from(const std::string& path, std::size_t offset = 0) {
+    std::ifstream file(path, std::ios::binary);
+    if (!file) return {};
+    file.seekg(0, std::ios::end);
+    const auto size = static_cast<std::size_t>(file.tellg());
+    if (size <= offset) return {};
+    std::string bytes(size - offset, '\0');
+    file.seekg(static_cast<std::streamoff>(offset));
+    file.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return bytes;
+}
+
+/// One worker process as the driver sees it.
+struct Proc {
+    support::ChildProcess child;
     support::LineBuffer lines;
-    Clock::time_point last_heard;
-    std::size_t journal_offset = 0;
-    bool header_seen = false;
-    bool hello_seen = false;
+    std::string dir;
+    std::size_t journal_read = 0;  ///< journal bytes already handed over
     bool alive = false;
-    bool send_failed = false;
-    // Respawn bookkeeping (slot-lifetime, not incarnation-lifetime).
-    std::size_t respawns_used = 0;
-    std::size_t crash_streak = 0;  ///< backoff exponent; reset on any ack
-    std::optional<Clock::time_point> respawn_at;
-    bool retired = false;  ///< respawn budget exhausted
 };
 
 /// Kills and reaps every still-running child no matter how run_fleet
 /// exits — early throws (spec errors, duplicate cells, all workers
 /// lost) included — so no zombie outlives the coordinator.
 struct ReapGuard {
-    std::vector<WorkerState>& workers;
+    std::vector<Proc>& procs;
     ~ReapGuard() {
-        for (WorkerState& w : workers) {
-            if (!w.alive) continue;
-            support::kill_hard(w.proc);
-            (void)support::wait_exit(w.proc);
-            w.proc.close_pipes();
-            w.alive = false;
+        for (Proc& p : procs) {
+            if (!p.alive) continue;
+            support::kill_hard(p.child);
+            (void)support::wait_exit(p.child);
+            p.child.close_pipes();
+            p.alive = false;
         }
     }
 };
 
-// ------------------------------------------------- coordinator ledger
-
-std::string ledger_path(const std::string& out_dir) {
-    return out_dir + "/coordinator.jsonl";
-}
-
-/// Write-ahead ledger of coordinator decisions (spawns, crash blames,
-/// quarantines), one fsync'd JSONL record each — the durable state a
-/// killed coordinator is resumed from (worker journals carry the
-/// results; the ledger says where they live and what was convicted).
-/// Removed on successful completion; its presence marks a crashed run.
-class CoordinatorLedger {
+/// Performs the Coordinator's actions on real processes and files, and
+/// turns what it observes into events. It decides nothing.
+class FleetDriver {
 public:
-    /// Writes `prefix_text` (header, plus retained events on resume)
-    /// atomically, then switches to append mode.
-    void open(const std::string& out_dir, const std::string& prefix_text) {
-        path_ = ledger_path(out_dir);
-        support::atomic_write(path_, prefix_text);
-        writer_.emplace(path_);
-    }
-    void append(const json::Value& event) { writer_->append_line(event.dump()); }
-    void remove() {
-        writer_.reset();
-        std::error_code ignored;
-        std::filesystem::remove(path_, ignored);
+    FleetDriver(Coordinator& coord, std::vector<Proc>& procs,
+                support::AppendWriter& ledger, const FleetOptions& options,
+                const std::string& spec_path, const std::string& digest,
+                std::size_t threads)
+        : coord_(coord), procs_(procs), ledger_(ledger), options_(options),
+          spec_path_(spec_path), digest_(digest), threads_(threads) {}
+
+    /// Seconds since the driver started: the clock of every event.
+    [[nodiscard]] double now() const { return seconds_since(start_); }
+
+    void run(const std::string& out_dir, const CampaignSpec& spec) {
+        while (!coord_.finished()) {
+            perform_all(coord_.on({.kind = FleetEvent::Kind::Tick, .now = now()}));
+            // Live merge. A failed one (disk hiccup, injected atomic_io
+            // fault) is retried next pass; only the final write must succeed.
+            if (merge_owed_ && !coord_.finished()) {
+                try {
+                    write_campaign_outputs(out_dir, spec, coord_.results());
+                    merge_owed_ = false;
+                } catch (const support::Error& e) {
+                    std::fprintf(stderr, "fleet: live merge failed (%s); retrying\n",
+                                 e.what());
+                }
+            }
+            if (coord_.finished()) break;
+            // Poll until the next heartbeat or respawn deadline, clamped to
+            // 20..500 ms so timeout checks stay responsive.
+            std::vector<int> fds(procs_.size(), -1);
+            for (std::size_t i = 0; i < procs_.size(); ++i) {
+                if (procs_[i].alive) fds[i] = procs_[i].child.stdout_fd();
+            }
+            int timeout_ms = 500;
+            if (const std::optional<double> deadline = coord_.next_deadline()) {
+                const double left_ms = (*deadline - now()) * 1000.0;
+                timeout_ms = std::min(timeout_ms, static_cast<int>(left_ms));
+            }
+            const std::vector<bool> readable =
+                support::poll_readable(fds, std::max(timeout_ms, 20));
+            for (std::size_t i = 0; i < procs_.size(); ++i) {
+                if (procs_[i].alive && readable[i]) read_worker(static_cast<int>(i));
+            }
+        }
     }
 
 private:
-    std::string path_;
-    std::optional<support::AppendWriter> writer_;
-};
-
-struct LedgerSpawn {
-    int slot = 0;
-    int generation = 0;
-    long incarnation = 0;
-    long pid = 0;
-    std::string dir;
-};
-struct LedgerCrash {
-    std::size_t cell = 0;
-    int slot = 0;
-    int generation = 0;
-    long incarnation = 0;
-    long pid = 0;
-    std::string reason;
-};
-struct LedgerState {
-    std::string spec_digest;
-    std::size_t cells_total = 0;
-    std::vector<LedgerSpawn> spawns;
-    std::vector<LedgerCrash> crashes;
-    std::vector<std::size_t> quarantines;
-    /// Every event line that parsed, verbatim — rewritten into the
-    /// compacted ledger on resume so a resume-of-a-resume still knows
-    /// every journal directory and conviction.
-    std::vector<std::string> raw_events;
-};
-
-/// Loads a coordinator ledger, tolerating a torn tail (each record is
-/// one fsync'd write, so only the final line can be incomplete — it is
-/// dropped, like the cell journals' torn-tail recovery).
-LedgerState load_ledger(const std::string& path) {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-        throw support::ConfigError("cannot read coordinator ledger '" + path + "'");
-    }
-    const std::string text((std::istreambuf_iterator<char>(file)),
-                           std::istreambuf_iterator<char>());
-    LedgerState state;
-    bool header_seen = false;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos) break;  // torn tail: drop
-        const std::string line = text.substr(start, nl - start);
-        start = nl + 1;
-        if (line.empty()) continue;
-        json::Value doc;
-        try {
-            doc = json::parse(line);
-        } catch (const support::Error&) {
-            break;  // unreadable line: treat as the torn tail, keep what stands
+    /// Performs `actions`, then everything the coordinator answers to the
+    /// events they produce (spawn results, reaped workers).
+    void perform_all(const std::vector<FleetAction>& actions) {
+        for (const FleetAction& action : actions) perform(action);
+        while (!replies_.empty()) {
+            const FleetEvent reply = std::move(replies_.front());
+            replies_.pop_front();
+            for (const FleetAction& action : coord_.on(reply)) perform(action);
         }
-        if (!header_seen) {
-            if (doc.get_or("schema", std::string()) != "sdlbench.coordinator_journal.v1") {
-                throw support::ConfigError("'" + path +
-                                           "' is not a coordinator ledger (bad schema)");
+    }
+
+    void read_worker(int slot) {
+        Proc& p = procs_[static_cast<std::size_t>(slot)];
+        const long n = support::read_some(p.child.stdout_fd(), p.lines);
+        while (p.alive) {
+            std::optional<std::string> line = p.lines.next_line();
+            if (!line) break;
+            FleetEvent event{.kind = FleetEvent::Kind::Line, .now = now(), .slot = slot,
+                             .text = std::move(*line)};
+            const std::optional<WorkerMessage> msg = parse_worker_line(event.text);
+            const bool ack = msg && msg->kind == WorkerMsgKind::Ack;
+            if (ack && support::failpoint::armed() &&
+                support::failpoint::evaluate("fleet.ack_recv").action !=
+                    support::failpoint::Action::None) {
+                // Injected corrupt ack: same outcome as a garbage line — the
+                // worker is dropped and its journal is the source of truth.
+                std::fprintf(stderr, "fleet: injected ack_recv failure on w%d\n", slot);
+                event.corrupt = true;
+            } else if (ack) {
+                event.journal = journal_tail(p);
             }
-            state.spec_digest = doc.at("spec_digest").as_string();
-            state.cells_total = static_cast<std::size_t>(doc.at("cells_total").as_int());
-            header_seen = true;
-            continue;
+            const std::vector<FleetAction> actions = coord_.on(event);
+            // After the acked records are folded in, before the refill lease.
+            if (ack && !event.corrupt) {
+                support::failpoint::maybe_fail("coordinator.post_ack_kill", "fleet");
+            }
+            perform_all(actions);
         }
-        const std::string event = doc.get_or("event", std::string());
-        if (event == "spawn") {
-            state.spawns.push_back({static_cast<int>(doc.at("slot").as_int()),
-                                    static_cast<int>(doc.at("generation").as_int()),
-                                    doc.at("incarnation").as_int(), doc.at("pid").as_int(),
-                                    doc.at("dir").as_string()});
-        } else if (event == "crash") {
-            state.crashes.push_back({static_cast<std::size_t>(doc.at("cell").as_int()),
-                                     static_cast<int>(doc.at("slot").as_int()),
-                                     static_cast<int>(doc.at("generation").as_int()),
-                                     doc.at("incarnation").as_int(), doc.at("pid").as_int(),
-                                     doc.at("reason").as_string()});
-        } else if (event == "quarantine") {
-            state.quarantines.push_back(
-                static_cast<std::size_t>(doc.at("cell").as_int()));
-        }  // unknown events: skip (forward compatibility)
-        state.raw_events.push_back(line);
+        if (n <= 0 && p.alive) reap(slot, "pipe closed");
     }
-    if (!header_seen) {
-        throw support::ConfigError("coordinator ledger '" + path +
-                                   "' has no intact header — nothing to resume");
+
+    void perform(const FleetAction& a) {
+        Proc* p = a.slot >= 0 ? &procs_[static_cast<std::size_t>(a.slot)] : nullptr;
+        switch (a.kind) {
+            case FleetAction::Kind::Spawn:
+                spawn(*p, a.slot, a.generation, a.text);
+                break;
+            case FleetAction::Kind::Send:
+                if (!p->alive) break;
+                // An injected dead pipe takes the same path as a real EPIPE.
+                if ((support::failpoint::armed() &&
+                     support::failpoint::evaluate("fleet.lease_send").action !=
+                         support::failpoint::Action::None) ||
+                    !support::write_line_fd(p->child.stdin_fd(), a.text)) {
+                    reap(a.slot, "lease write failed");
+                }
+                break;
+            case FleetAction::Kind::Kill:
+                if (p->alive) reap(a.slot, a.text);
+                break;
+            case FleetAction::Kind::LedgerAppend:
+                ledger_.append_line(a.text);
+                break;
+            case FleetAction::Kind::WriteOutputs:
+                merge_owed_ = true;
+                break;
+            case FleetAction::Kind::Log:
+                if (!a.progress) {
+                    std::fprintf(stderr, "%s\n", a.text.c_str());
+                } else if (options_.log_progress) {
+                    std::printf("%s\n", a.text.c_str());
+                }
+                break;
+        }
     }
-    return state;
-}
+
+    void spawn(Proc& p, int slot, int generation, const std::string& dir) {
+        std::filesystem::create_directories(dir);
+        // A stale journal from a previous fleet run must not be tailed
+        // before the fresh worker truncates it. (Respawns get fresh
+        // per-generation dirs, so dead incarnations' journals survive.)
+        std::filesystem::remove(journal_path(dir));
+        // Per-incarnation failpoint schedule: slot-numbered entries hit
+        // generation 0 only (so respawns come up clean), '*' entries hit
+        // every incarnation (crash loops). The variable is ALWAYS set, so
+        // the coordinator's own environment never leaks into workers.
+        std::string fp;
+        for (const FleetOptions::WorkerFailpoint& wf : options_.worker_failpoints) {
+            if (wf.slot >= 0 && (wf.slot != slot || generation != 0)) continue;
+            if (!fp.empty()) fp += ',';
+            fp += wf.spec;
+        }
+        const std::vector<std::string> argv = {
+            options_.worker_exe, "--worker",
+            "--campaign", spec_path_,
+            "--dir", dir,
+            "--expect-digest", digest_,
+            "--heartbeat-interval", support::fmt_roundtrip(kHeartbeatIntervalS)};
+        p = Proc{};
+        p.dir = dir;
+        try {
+            p.child = support::spawn_child(
+                argv, {"SDLBENCH_WORKERS=" + std::to_string(threads_),
+                       "SDLBENCH_FAILPOINTS=" + fp});
+        } catch (const support::Error& e) {
+            replies_.push_back({.kind = FleetEvent::Kind::SpawnFailed, .now = now(),
+                                .slot = slot, .text = e.what()});
+            return;
+        }
+        p.alive = true;
+        replies_.push_back({.kind = FleetEvent::Kind::Spawned, .now = now(), .slot = slot,
+                            .pid = p.child.pid()});
+    }
+
+    /// Kill, reap, take the journal tail — then the worker has Exited.
+    void reap(int slot, std::string reason) {
+        Proc& p = procs_[static_cast<std::size_t>(slot)];
+        support::kill_hard(p.child);
+        (void)support::wait_exit(p.child);
+        std::string tail = journal_tail(p);
+        p.child.close_pipes();
+        p.alive = false;
+        replies_.push_back({.kind = FleetEvent::Kind::Exited, .now = now(), .slot = slot,
+                            .text = std::move(reason), .journal = std::move(tail)});
+    }
+
+    std::string journal_tail(Proc& p) {
+        std::string bytes = read_from(journal_path(p.dir), p.journal_read);
+        p.journal_read += bytes.size();
+        return bytes;
+    }
+
+    Coordinator& coord_;
+    std::vector<Proc>& procs_;
+    support::AppendWriter& ledger_;
+    const FleetOptions& options_;
+    const std::string& spec_path_;
+    const std::string& digest_;
+    std::size_t threads_;
+    Clock::time_point start_ = Clock::now();
+    std::deque<FleetEvent> replies_;  ///< events answering performed actions
+    bool merge_owed_ = false;
+};
 
 }  // namespace
 
@@ -353,32 +424,17 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         (void)support::failpoint::parse(wf.spec);
     }
 
-    LeaseTable table(grid.size(), schedule_order(grid));
-    std::vector<std::optional<CellResult>> results(grid.size());
-    std::vector<std::vector<CellCrash>> crash_log(grid.size());
-    FleetSummary summary;
-    summary.cells = grid.size();
-    summary.workers_started = n_workers;
+    Coordinator coord(spec, grid, out_dir, n_workers);
+    std::vector<Proc> procs(n_workers);
+    ReapGuard reaper{procs};
 
-    std::vector<WorkerState> workers(n_workers);
-    ReapGuard reaper{workers};
-    long next_incarnation = 0;
-
-    // Resume: rebuild coordinator state from the ledger plus the worker
-    // journals it references. The journals are the source of truth for
-    // results; the ledger contributes locations, crash history, and
-    // quarantine convictions.
-    std::string ledger_prefix;
-    {
-        json::Value header = json::Value::object();
-        header.set("schema", "sdlbench.coordinator_journal.v1");
-        header.set("spec_digest", digest);
-        header.set("cells_total", static_cast<std::int64_t>(grid.size()));
-        header.set("campaign_path", spec_path);
-        ledger_prefix = header.dump() + "\n";
-    }
+    std::string ledger_prefix = ledger_header(digest, grid.size(), spec_path) + "\n";
     if (options.resume) {
-        const LedgerState prior = load_ledger(ledger_path(out_dir));
+        // Rebuild the coordinator from the ledger plus the worker journals
+        // it names: the journals carry the results, the ledger their
+        // locations, the crash history and the quarantine convictions.
+        const LedgerState prior =
+            parse_ledger(read_from(ledger_path(out_dir)), ledger_path(out_dir));
         if (prior.spec_digest != digest) {
             throw support::ConfigError(
                 "--resume: ledger spec digest " + prior.spec_digest +
@@ -392,59 +448,20 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
                                        std::to_string(grid.size()));
         }
 #if !defined(_WIN32)
-        // Orphans of the dead coordinator: best-effort SIGKILL by
-        // recorded pid before reading their journals, so none can append
-        // a record after we've drained it. A reused pid is possible but
-        // the window is narrow (docs/ROBUSTNESS.md § Resume caveats).
+        // Orphans of the dead coordinator: best-effort SIGKILL by recorded
+        // pid before reading their journals, so none can append a record
+        // after we've read it. A reused pid is possible but the window is
+        // narrow (docs/ROBUSTNESS.md § Resume caveats).
         for (const LedgerSpawn& s : prior.spawns) {
             if (s.pid > 0) (void)::kill(static_cast<pid_t>(s.pid), SIGKILL);
         }
 #endif
-        const auto load_worker_journal = [&](const std::string& path) {
-            std::ifstream file(path, std::ios::binary);
-            if (!file) return;  // died before creating a journal
-            const std::string text((std::istreambuf_iterator<char>(file)),
-                                   std::istreambuf_iterator<char>());
-            bool header_seen = false;
-            std::size_t start = 0;
-            while (start < text.size()) {
-                const std::size_t nl = text.find('\n', start);
-                if (nl == std::string::npos) break;  // torn tail: drop
-                const std::string line = text.substr(start, nl - start);
-                start = nl + 1;
-                if (!header_seen) {
-                    (void)validate_journal_header(line, spec, grid.size(), path);
-                    header_seen = true;
-                    continue;
-                }
-                CellResult record = parse_cell_record(line, grid, path);
-                const std::size_t index = record.cell.index;
-                table.complete(index);  // cross-journal duplicates stay loud
-                summary.busy_s += record.wall_seconds;
-                results[index] = std::move(record);
-            }
-        };
+        std::vector<std::string> journals;
         for (const LedgerSpawn& s : prior.spawns) {
-            load_worker_journal(journal_path(s.dir));
-            next_incarnation = std::max(next_incarnation, s.incarnation + 1);
-            if (s.slot >= 0 && static_cast<std::size_t>(s.slot) < workers.size()) {
-                workers[static_cast<std::size_t>(s.slot)].generation =
-                    std::max(workers[static_cast<std::size_t>(s.slot)].generation,
-                             s.generation);
-            }
+            journals.push_back(read_from(journal_path(s.dir)));
         }
-        for (const LedgerCrash& c : prior.crashes) {
-            if (c.cell >= grid.size()) continue;
-            (void)table.record_crash(c.cell, c.incarnation);
-            crash_log[c.cell].push_back({c.slot, c.generation, c.pid, c.reason});
-        }
-        for (const std::size_t cell : prior.quarantines) {
-            if (cell < grid.size() && !table.is_quarantined(cell)) {
-                table.quarantine(cell);
-            }
-        }
-        // Compacted ledger: fresh header + every prior event verbatim,
-        // so a resume-of-a-resume still sees all journal directories.
+        coord.restore(prior, journals);
+        // Compacted ledger: fresh header + every prior event verbatim.
         for (const std::string& raw : prior.raw_events) {
             ledger_prefix += raw;
             ledger_prefix += '\n';
@@ -452,415 +469,31 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         if (options.log_progress) {
             std::printf("Fleet resume: %zu of %zu cells already journaled, "
                         "%zu quarantined\n",
-                        table.done_count(), grid.size(), table.quarantined_count());
+                        coord.table().done_count(), grid.size(),
+                        coord.table().quarantined_count());
         }
     }
 
-    CoordinatorLedger ledger;
-    ledger.open(out_dir, ledger_prefix);
-
+    // The write-ahead ledger: removed on success, so its presence marks a
+    // crashed run.
+    support::atomic_write(ledger_path(out_dir), ledger_prefix);
+    std::optional<support::AppendWriter> ledger(std::in_place, ledger_path(out_dir));
     if (options.log_progress) {
         std::printf("Fleet: %zu cells on %zu workers (%zu threads each), "
                     "cost-ordered leases\n",
                     grid.size(), n_workers, threads);
     }
 
-    const auto start_time = Clock::now();
-    for (std::size_t i = 0; i < n_workers; ++i) {
-        workers[i].slot = static_cast<int>(i);
-        // Spawn through the unified respawn path below, so even a
-        // first-spawn failure (subprocess.spawn failpoint, EAGAIN) gets
-        // the same backoff-and-retry treatment.
-        workers[i].respawn_at = start_time;
-    }
-
-    std::size_t alive_count = 0;
-    std::size_t since_merge = 0;
-
-    const auto collect_results = [&] {
-        std::vector<CellResult> collected;
-        collected.reserve(table.done_count());
-        for (const auto& r : results) {
-            if (r) collected.push_back(*r);
-        }
-        return collected;
-    };
-
-    // Tails the worker's journal from the last consumed offset; every
-    // complete new line is validated and folded into the result set.
-    // Returns the number of records consumed. Throws loudly on digest
-    // mismatches and on duplicates (LeaseTable::complete).
-    const auto drain_journal = [&](WorkerState& w) -> std::size_t {
-        const std::string path = journal_path(w.dir);
-        std::ifstream file(path, std::ios::binary);
-        if (!file) return 0;
-        file.seekg(0, std::ios::end);
-        const auto size = static_cast<std::size_t>(file.tellg());
-        if (size <= w.journal_offset) return 0;
-        file.seekg(static_cast<std::streamoff>(w.journal_offset));
-        std::string chunk(size - w.journal_offset, '\0');
-        file.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-
-        std::size_t consumed = 0;
-        std::size_t records = 0;
-        std::size_t start = 0;
-        for (;;) {
-            const std::size_t nl = chunk.find('\n', start);
-            if (nl == std::string::npos) break;  // torn tail: wait for more
-            const std::string line = chunk.substr(start, nl - start);
-            start = nl + 1;
-            consumed = start;
-            if (!w.header_seen) {
-                (void)validate_journal_header(line, spec, grid.size(), path);
-                w.header_seen = true;
-                continue;
-            }
-            CellResult record = parse_cell_record(line, grid, path);
-            const std::size_t index = record.cell.index;
-            table.complete(index);  // throws if any worker already did this cell
-            summary.busy_s += record.wall_seconds;
-            if (options.log_progress) {
-                // sdlbench-lint: allow(printf-float): stdout progress line, never serialized into an artifact
-                std::printf("  [%zu/%zu] %s best=%.2f (w%d, %.1fs)\n",
-                            table.done_count(), grid.size(),
-                            record.cell.config.experiment_id.c_str(),
-                            record.outcome.best_score, w.slot, record.wall_seconds);
-            }
-            results[index] = std::move(record);
-            ++records;
-            ++since_merge;
-        }
-        w.journal_offset += consumed;
-        return records;
-    };
-
-    const auto grant_to = [&](WorkerState& w) {
-        const std::size_t size = table.suggested_lease(alive_count, options.max_lease);
-        if (size == 0) return;
-        const std::vector<std::size_t> lease = table.grant(w.slot, size);
-        if (lease.empty()) return;
-        if (support::failpoint::armed() &&
-            support::failpoint::evaluate("fleet.lease_send").action !=
-                support::failpoint::Action::None) {
-            // Injected dead pipe: the cells stay leased to this worker
-            // until the main loop's deferred-death pass revokes them —
-            // the same path a real EPIPE takes.
-            w.send_failed = true;
-            return;
-        }
-        if (!support::write_line_fd(w.proc.stdin_fd(), format_lease(lease))) {
-            w.send_failed = true;  // death handled by the main loop
-        }
-    };
-
-    const auto schedule_respawn = [&](WorkerState& w) {
-        if (table.all_done()) return;
-        if (w.respawns_used >= options.max_respawns) {
-            if (!w.retired) {
-                w.retired = true;
-                std::fprintf(stderr,
-                             "fleet: worker slot w%d retired after %zu respawns\n",
-                             w.slot, w.respawns_used);
-            }
-            return;
-        }
-        ++w.respawns_used;
-        const double factor =
-            w.crash_streak > 0 ? std::ldexp(1.0, static_cast<int>(w.crash_streak) - 1)
-                               : 1.0;
-        const double backoff = std::min(options.respawn_backoff_cap_s,
-                                        options.respawn_backoff_s * factor);
-        w.respawn_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                          std::chrono::duration<double>(backoff));
-        // sdlbench-lint: allow(printf-float): stderr lifecycle line, never serialized into an artifact
-        std::fprintf(stderr, "fleet: respawning worker w%d (generation %d) in %.2fs\n",
-                     w.slot, w.generation + 1, backoff);
-    };
-
-    const auto spawn_slot = [&](WorkerState& w) {
-        ++w.generation;
-        w.incarnation = next_incarnation++;
-        w.dir = out_dir + "/workers/w" + std::to_string(w.slot) +
-                (w.generation > 0 ? "r" + std::to_string(w.generation) : "");
-        std::filesystem::create_directories(w.dir);
-        // A stale journal from a previous fleet run must not be tailed
-        // before the fresh worker truncates it. (Respawns get fresh
-        // per-generation dirs, so dead incarnations' journals survive
-        // for salvage and inspection.)
-        std::filesystem::remove(journal_path(w.dir));
-
-        // Per-incarnation failpoint schedule: slot-numbered entries hit
-        // generation 0 only (so respawns come up clean), '*' entries hit
-        // every incarnation (crash loops). The variable is ALWAYS set,
-        // so the coordinator's own environment never leaks failpoints
-        // into workers.
-        std::string fp;
-        for (const FleetOptions::WorkerFailpoint& wf : options.worker_failpoints) {
-            const bool applies =
-                wf.slot < 0 || (wf.slot == w.slot && w.generation == 0);
-            if (!applies) continue;
-            if (!fp.empty()) fp += ',';
-            fp += wf.spec;
-        }
-
-        std::vector<std::string> argv = {
-            options.worker_exe, "--worker",
-            "--campaign", spec_path,
-            "--dir", w.dir,
-            "--expect-digest", digest,
-            "--heartbeat-interval", support::fmt_roundtrip(options.heartbeat_interval_s)};
-
-        w.journal_offset = 0;
-        w.header_seen = false;
-        w.hello_seen = false;
-        w.send_failed = false;
-        w.lines = support::LineBuffer{};
-        w.respawn_at.reset();
-        try {
-            w.proc = support::spawn_child(
-                argv, {"SDLBENCH_WORKERS=" + std::to_string(threads),
-                       "SDLBENCH_FAILPOINTS=" + fp});
-        } catch (const support::Error& e) {
-            // A spawn failure (fork/pipe exhaustion) is an instant crash
-            // of the fresh incarnation: back off and retry on the same
-            // budget instead of giving the slot up.
-            std::fprintf(stderr, "fleet: spawning worker w%d failed: %s\n", w.slot,
-                         e.what());
-            ++summary.workers_lost;
-            ++w.crash_streak;
-            schedule_respawn(w);
-            return;
-        }
-        w.alive = true;
-        w.last_heard = Clock::now();
-        ++alive_count;
-        if (w.generation > 0) {
-            ++summary.workers_respawned;
-            std::fprintf(stderr, "fleet: worker w%d respawned (generation %d, pid %ld)\n",
-                         w.slot, w.generation, w.proc.pid());
-        }
-        // Write-ahead: the ledger knows every journal directory before
-        // any result can land in it.
-        json::Value event = json::Value::object();
-        event.set("event", "spawn");
-        event.set("slot", w.slot);
-        event.set("generation", w.generation);
-        event.set("incarnation", static_cast<std::int64_t>(w.incarnation));
-        event.set("pid", static_cast<std::int64_t>(w.proc.pid()));
-        event.set("dir", w.dir);
-        ledger.append(event);
-    };
-
-    const auto handle_death = [&](WorkerState& w, const char* why) {
-        if (!w.alive) return;
-        // Kill unconditionally: a merely-hung worker that woke up later
-        // could journal a cell the table has meanwhile re-leased.
-        support::kill_hard(w.proc);
-        (void)support::wait_exit(w.proc);
-        // The journal tail is the dead worker's last word: everything
-        // durably appended (acked or not) is salvaged, never recomputed.
-        const std::size_t salvaged = drain_journal(w);
-        w.proc.close_pipes();
-        w.alive = false;
-        --alive_count;
-        const std::vector<std::size_t> revoked = table.revoke(w.slot);
-        ++summary.workers_lost;
-        summary.cells_salvaged += salvaged;
-        summary.cells_releases += revoked.size();
-        std::fprintf(stderr,
-                     "fleet: worker w%d lost (%s): salvaged %zu journaled cell(s), "
-                     "re-leasing %zu\n",
-                     w.slot, why, salvaged, revoked.size());
-
-        // Crash blame: workers run their lease FIFO in grant order, and
-        // revoke() returns incomplete cells in schedule (= grant) order,
-        // so the first revoked cell is the one the worker was most
-        // likely executing. A heuristic — which is why conviction takes
-        // `quarantine_after` DISTINCT incarnations, not one.
-        if (!revoked.empty()) {
-            const std::size_t suspect = revoked.front();
-            crash_log[suspect].push_back(
-                {w.slot, w.generation, w.proc.pid(), std::string(why)});
-            json::Value event = json::Value::object();
-            event.set("event", "crash");
-            event.set("cell", static_cast<std::int64_t>(suspect));
-            event.set("slot", w.slot);
-            event.set("generation", w.generation);
-            event.set("incarnation", static_cast<std::int64_t>(w.incarnation));
-            event.set("pid", static_cast<std::int64_t>(w.proc.pid()));
-            event.set("reason", std::string(why));
-            ledger.append(event);
-            const std::size_t burned = table.record_crash(suspect, w.incarnation);
-            if (burned >= options.quarantine_after && burned > 0) {
-                table.quarantine(suspect);
-                json::Value conviction = json::Value::object();
-                conviction.set("event", "quarantine");
-                conviction.set("cell", static_cast<std::int64_t>(suspect));
-                ledger.append(conviction);
-                std::fprintf(stderr,
-                             "fleet: cell %zu quarantined after crashing %zu distinct "
-                             "worker(s) — reporting it failed, not re-leasing\n",
-                             suspect, burned);
-            }
-        }
-        ++w.crash_streak;
-        schedule_respawn(w);
-    };
-
-    while (!table.all_done()) {
-        // Due respawns first: the pool heals before anything else is
-        // decided this pass.
-        const auto respawn_now = Clock::now();
-        for (WorkerState& w : workers) {
-            if (!w.alive && w.respawn_at && *w.respawn_at <= respawn_now) {
-                spawn_slot(w);
-            }
-        }
-
-        if (alive_count == 0) {
-            bool respawn_pending = false;
-            for (const WorkerState& w : workers) {
-                if (w.respawn_at) respawn_pending = true;
-            }
-            if (!respawn_pending) {
-                throw support::Error(
-                    "fleet",
-                    "all " + std::to_string(n_workers) +
-                        " worker slots are dead with their respawn budgets "
-                        "exhausted and " +
-                        std::to_string(grid.size() - table.done_count() -
-                                       table.quarantined_count()) +
-                        " cell(s) incomplete — worker journals remain under '" +
-                        out_dir + "/workers/' for inspection");
-            }
-        }
-
-        // Poll until the next heartbeat or respawn deadline (bounded so
-        // revocation and timeout checks stay responsive).
-        std::vector<int> fds(workers.size(), -1);
-        int timeout_ms = 500;
-        const auto now = Clock::now();
-        for (const WorkerState& w : workers) {
-            if (w.alive) {
-                fds[static_cast<std::size_t>(w.slot)] = w.proc.stdout_fd();
-                const double remaining =
-                    options.heartbeat_timeout_s -
-                    std::chrono::duration<double>(now - w.last_heard).count();
-                timeout_ms = std::min(timeout_ms, static_cast<int>(remaining * 1000.0));
-            } else if (w.respawn_at) {
-                const double remaining =
-                    std::chrono::duration<double>(*w.respawn_at - now).count();
-                timeout_ms = std::min(timeout_ms, static_cast<int>(remaining * 1000.0));
-            }
-        }
-        timeout_ms = std::max(timeout_ms, 20);
-        const std::vector<bool> readable = support::poll_readable(fds, timeout_ms);
-
-        for (WorkerState& w : workers) {
-            if (!w.alive || !readable[static_cast<std::size_t>(w.slot)]) continue;
-            const long n = support::read_some(w.proc.stdout_fd(), w.lines);
-            bool protocol_error = false;
-            while (auto line = w.lines.next_line()) {
-                const auto msg = parse_worker_line(*line);
-                if (!msg) {
-                    std::fprintf(stderr, "fleet: worker w%d sent garbage '%s'\n", w.slot,
-                                 line->c_str());
-                    protocol_error = true;
-                    break;
-                }
-                w.last_heard = Clock::now();
-                switch (msg->kind) {
-                    case WorkerMsgKind::Hello:
-                        if (!w.hello_seen) {
-                            w.hello_seen = true;
-                            grant_to(w);
-                        }
-                        break;
-                    case WorkerMsgKind::Beat:
-                        break;
-                    case WorkerMsgKind::Ack:
-                        if (support::failpoint::armed() &&
-                            support::failpoint::evaluate("fleet.ack_recv").action !=
-                                support::failpoint::Action::None) {
-                            // Injected corrupt ack: same outcome as a
-                            // garbage line — the worker is dropped and
-                            // its journal is the source of truth.
-                            std::fprintf(stderr,
-                                         "fleet: injected ack_recv failure on w%d\n",
-                                         w.slot);
-                            protocol_error = true;
-                            break;
-                        }
-                        // The payload travels through the journal, not
-                        // the pipe; the ack is the read barrier.
-                        (void)drain_journal(w);
-                        w.crash_streak = 0;  // healthy progress: reset backoff
-                        support::failpoint::maybe_fail("coordinator.post_ack_kill",
-                                                       "fleet");
-                        // Pipelined refill: keep one cell queued behind
-                        // the one running, sized down as the queue
-                        // drains (this is the work-stealing).
-                        if (table.outstanding(w.slot) <= 1) grant_to(w);
-                        break;
-                }
-                if (protocol_error) break;
-            }
-            if (protocol_error || n <= 0) {
-                handle_death(w, protocol_error ? "protocol error" : "pipe closed");
-            }
-        }
-
-        // Deferred deaths (lease writes that hit a closed pipe).
-        for (WorkerState& w : workers) {
-            if (w.alive && w.send_failed) handle_death(w, "lease write failed");
-        }
-        // Hung workers: no hello/beat/ack inside the timeout window.
-        const auto after = Clock::now();
-        for (WorkerState& w : workers) {
-            if (w.alive &&
-                std::chrono::duration<double>(after - w.last_heard).count() >
-                    options.heartbeat_timeout_s) {
-                handle_death(w, "heartbeat timeout");
-            }
-        }
-        // Revocation or an earlier empty queue can leave live workers
-        // idle while cells are pending — top them up.
-        for (WorkerState& w : workers) {
-            if (w.alive && w.hello_seen && !w.send_failed &&
-                table.outstanding(w.slot) == 0) {
-                grant_to(w);
-            }
-        }
-
-        // Live merge: aggregates stay current while the fleet runs. A
-        // failed live merge (disk hiccup, injected atomic_io fault) is
-        // retried next pass — only the FINAL write below must succeed.
-        if (since_merge >= options.merge_every && !table.all_done()) {
-            try {
-                write_campaign_outputs(out_dir, spec, collect_results());
-                since_merge = 0;
-            } catch (const support::Error& e) {
-                std::fprintf(stderr, "fleet: live merge failed (%s); retrying\n",
-                             e.what());
-            }
-        }
-    }
+    FleetDriver driver(coord, procs, *ledger, options, spec_path, digest, threads);
+    driver.run(out_dir, spec);
 
     // Final merge from index-sorted results — the exact bytes of a
     // single-process uninterrupted run — plus the fused whole-grid
     // journal, so the fleet directory is resumable/mergeable like any
     // other campaign directory. Quarantined cells are reported, not
     // silently missing.
-    std::vector<CellResult> final_results;
-    final_results.reserve(grid.size());
-    for (auto& r : results) {
-        if (r) final_results.push_back(std::move(*r));
-    }
-    std::vector<QuarantinedCell> quarantined_cells;
-    for (const std::size_t cell : table.quarantined()) {
-        quarantined_cells.push_back(QuarantinedCell{grid[cell], crash_log[cell]});
-    }
-    summary.cells_quarantined = quarantined_cells.size();
+    std::vector<CellResult> final_results = coord.results();
+    std::vector<QuarantinedCell> quarantined_cells = coord.quarantined();
     write_campaign_outputs(out_dir, spec, final_results, quarantined_cells);
     std::string journal_text = journal_header(spec, grid.size(), Shard{}).dump() + "\n";
     for (const CellResult& result : final_results) {
@@ -869,22 +502,25 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     }
     support::atomic_write(journal_path(out_dir), journal_text);
 
-    for (WorkerState& w : workers) {
-        if (!w.alive) continue;
-        (void)support::write_line_fd(w.proc.stdin_fd(), format_stop());
-        w.proc.close_stdin();  // reader thread EOF: the worker exits cleanly
+    for (Proc& p : procs) {
+        if (!p.alive) continue;
+        (void)support::write_line_fd(p.child.stdin_fd(), format_stop());
+        p.child.close_stdin();  // reader thread EOF: the worker exits cleanly
     }
-    for (WorkerState& w : workers) {
-        if (!w.alive) continue;
-        (void)support::wait_exit(w.proc);
-        w.proc.close_pipes();
-        w.alive = false;
+    for (Proc& p : procs) {
+        if (!p.alive) continue;
+        (void)support::wait_exit(p.child);
+        p.child.close_pipes();
+        p.alive = false;
     }
-    // Everything durable is written; the ledger's job is done. Its
-    // absence is what marks this directory as cleanly completed.
-    ledger.remove();
+    // Everything durable is written; the ledger's job is done.
+    ledger.reset();
+    std::error_code ignored;
+    std::filesystem::remove(ledger_path(out_dir), ignored);
 
-    summary.makespan_s = seconds_since(start_time);
+    FleetSummary summary = coord.summary();
+    summary.cells_quarantined = quarantined_cells.size();
+    summary.makespan_s = driver.now();
     if (summary.makespan_s > 0.0 && summary.workers_started > 0) {
         summary.efficiency =
             summary.busy_s /

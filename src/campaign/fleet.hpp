@@ -39,7 +39,7 @@
 //
 // Self-healing (docs/ROBUSTNESS.md): dead workers are respawned into
 // fresh per-incarnation directories with capped exponential backoff
-// instead of shrinking the pool; a cell that kills `quarantine_after`
+// instead of shrinking the pool; a cell that kills kQuarantineAfter (3)
 // distinct worker incarnations is quarantined (reported in
 // campaign.json, never re-leased); and every spawn/crash/quarantine is
 // written ahead to a fsync'd coordinator ledger (coordinator.jsonl) so
@@ -47,6 +47,9 @@
 // the ledger plus the worker journals — still byte-identical to an
 // uninterrupted run. Fault injection for all of this rides on
 // support/failpoint.hpp sites rather than bespoke chaos flags.
+//
+// The decisions live in the I/O-free Coordinator (coordinator.hpp, with
+// the fleet's timing and budget constants); run_fleet is its driver.
 #pragma once
 
 #include <cstddef>
@@ -95,16 +98,6 @@ struct FleetOptions {
     /// the hardware evenly (max(1, hw / workers)) so workers get
     /// disjoint core budgets instead of each oversubscribing the host.
     std::size_t worker_threads = 0;
-    /// A worker silent this long (no ack/beat/hello) is declared hung,
-    /// SIGKILLed, and its incomplete cells are re-leased.
-    double heartbeat_timeout_s = 30.0;
-    /// Worker-side beat period.
-    double heartbeat_interval_s = 0.25;
-    /// Rewrite campaign.json/csv after this many completed cells
-    /// (live merge); the final write always happens.
-    std::size_t merge_every = 1;
-    /// Hard cap on cells per lease; 0 = adaptive only.
-    std::size_t max_lease = 0;
     /// Path to the sdlbench_fleet binary to exec as workers (argv[0]).
     std::string worker_exe;
     /// Print per-cell progress and worker lifecycle lines.
@@ -120,16 +113,6 @@ struct FleetOptions {
         std::string spec;
     };
     std::vector<WorkerFailpoint> worker_failpoints;
-    /// A cell that has crashed this many DISTINCT worker incarnations is
-    /// quarantined: removed from the schedule and reported in
-    /// campaign.json with its crash history.
-    std::size_t quarantine_after = 3;
-    /// Per-slot respawn budget; a slot that exhausts it is retired.
-    std::size_t max_respawns = 8;
-    /// Respawn backoff: min(cap, base * 2^consecutive_crashes). The
-    /// streak resets on any successful ack from that slot.
-    double respawn_backoff_s = 0.25;
-    double respawn_backoff_cap_s = 5.0;
     /// Restart a killed coordinator from out_dir's coordinator.jsonl
     /// ledger + worker journals instead of demanding a clean directory.
     bool resume = false;
@@ -143,8 +126,11 @@ struct FleetSummary {
     std::size_t cells_salvaged = 0;   ///< journaled by a dead worker, unacked
     std::size_t cells_releases = 0;   ///< re-leased after a worker loss
     std::size_t cells_quarantined = 0;
-    double makespan_s = 0.0;          ///< coordinator wall time
-    double busy_s = 0.0;              ///< sum of per-cell worker wall time
+    double makespan_s = 0.0;          ///< this coordinator's wall time
+    /// Sum of per-cell worker wall time over the cells journaled during
+    /// this coordinator's lifetime (a resume does not count the cells it
+    /// replays, which ran before its makespan began).
+    double busy_s = 0.0;
     /// busy_s / (makespan_s * workers_started) — 1.0 is a perfectly
     /// packed schedule.
     double efficiency = 0.0;

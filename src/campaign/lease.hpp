@@ -88,17 +88,14 @@ public:
     }
     [[nodiscard]] std::size_t done_count() const noexcept { return done_; }
     [[nodiscard]] std::size_t quarantined_count() const noexcept { return quarantined_; }
-    [[nodiscard]] std::size_t cell_count() const noexcept { return states_.size(); }
-    [[nodiscard]] std::size_t pending_count() const noexcept { return pending_.size(); }
     /// Cells currently leased to `worker` and not yet complete.
     [[nodiscard]] std::size_t outstanding(int worker) const noexcept;
 
     /// Adaptive lease size: splits the pending queue so `active_workers`
     /// all stay busy with headroom to rebalance — ceil(pending / (2 *
-    /// workers)), at least 1 while work remains, capped at `max_lease`
-    /// when nonzero. Small leases near the end are the work-stealing.
-    [[nodiscard]] std::size_t suggested_lease(std::size_t active_workers,
-                                              std::size_t max_lease) const noexcept;
+    /// workers)), at least 1 while work remains. Small leases near the
+    /// end are the work-stealing.
+    [[nodiscard]] std::size_t suggested_lease(std::size_t active_workers) const noexcept;
 
 private:
     enum class State : unsigned char { Pending, Leased, Done, Quarantined };

@@ -77,11 +77,11 @@ endfunction()
 
 # ---- Leg 1: worker SIGKILL after a durable append; slot respawns.
 # A respawn only happens while cells remain, so w0 and w2 (generation 0)
-# hold each cell for a second: w1's kill and its 0.05 s backoff then land
+# hold each cell for a second: w1's kill and its 0.25 s backoff then land
 # while the grid is still running, however fast a cell computes.
 execute_process(
   COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/kill"
-          --workers 3 --respawn-backoff 0.05
+          --workers 3
           --worker-failpoints "1:worker.pre_ack_kill=kill@1#1"
           --worker-failpoints "0:worker.cell_start=delay(1000)"
           --worker-failpoints "2:worker.cell_start=delay(1000)"
@@ -154,7 +154,7 @@ assert_golden("${WORK_DIR}/coord" "coordinator resume leg")
 # completes with its crash history reported.
 execute_process(
   COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/poison"
-          --workers 3 --quarantine-after 3 --respawn-backoff 0.05
+          --workers 3
           --worker-failpoints "*:worker.cell_start[2]=kill"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 6)

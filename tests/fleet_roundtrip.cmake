@@ -1,14 +1,15 @@
 # ctest -P helper: fleet crash-recovery round trip.
 #
-# Runs CAMPAIGN once single-process (the reference), then twice through
-# sdlbench_fleet: a clean 3-worker run, and a chaos run where one worker
+# Runs CAMPAIGN once single-process (the reference), then through
+# sdlbench_fleet: a clean 3-worker run, a chaos run where one worker
 # SIGKILLs itself right after a journal append, before its ack — the
 # coordinator must salvage the journaled cell, re-lease the rest of the
 # dead worker's lease, and still produce campaign.json/campaign.csv
-# byte-identical to the reference. A duplicated cell would either trip
-# the coordinator's lease-table guard (run fails) or change the report
-# bytes (comparison fails), so "no cell executed twice" is checked by
-# construction.
+# byte-identical to the reference; a re-lease run on a second grid; and a
+# coordinator kill + resume whose efficiency must stay <= 100%. A
+# duplicated cell would either trip the coordinator's lease-table guard
+# (run fails) or change the report bytes (comparison fails), so "no cell
+# executed twice" is checked by construction.
 #
 # Vars: RUNNER (sdlbench_run), FLEET (sdlbench_fleet), CAMPAIGN, WORK_DIR.
 foreach(var RUNNER FLEET CAMPAIGN WORK_DIR)
@@ -141,5 +142,30 @@ foreach(doc campaign.json campaign.csv)
   endif()
 endforeach()
 
-message(STATUS "fleet roundtrip OK: clean, killed-worker, and re-lease runs "
-               "all byte-identical to the single-process reference")
+# Leg 4: the coordinator SIGKILLs itself after the 5th and last ack, so
+# the resume replays every cell and runs none. Replayed cells ran before
+# the resumed coordinator's makespan began and must not count as its busy
+# time: the reported efficiency stays a fraction of a packed schedule.
+execute_process(
+  COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/fleet_resume"
+          --workers 3 --failpoints "coordinator.post_ack_kill=kill@5#1"
+  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "resume leg: the coordinator survived its kill\n${out}\n${err}")
+endif()
+execute_process(
+  COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/fleet_resume"
+          --workers 3 --resume
+  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "resume leg: --resume failed (${rc})\n${out}\n${err}")
+endif()
+string(REGEX MATCH "efficiency ([0-9]+)%" matched "${out}")
+if(NOT matched OR CMAKE_MATCH_1 GREATER 100)
+  message(FATAL_ERROR
+    "resume leg: efficiency above 100% — replayed cells counted as busy\n${out}")
+endif()
+compare_outputs("${WORK_DIR}/fleet_resume" "resumed fleet run")
+
+message(STATUS "fleet roundtrip OK: clean, killed-worker, re-lease and resumed "
+               "runs all byte-identical to the single-process reference")

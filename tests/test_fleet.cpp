@@ -1,7 +1,8 @@
 // Tests for the fleet building blocks: the line protocol, the
 // lease-table scheduler (grant/complete/revoke/adaptive sizing and the
-// loud duplicate guard), cost-model cell ordering, the SDLBENCH_WORKERS
-// parser, and the subprocess/pipe helpers (POSIX only).
+// loud duplicate guard), the coordinator ledger parser, cost-model cell
+// ordering, the SDLBENCH_WORKERS parser, and the subprocess/pipe helpers
+// (POSIX only). The coordinator itself is tested in test_fleet_sim.cpp.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -14,6 +15,7 @@
 #include <csignal>
 #endif
 
+#include "campaign/coordinator.hpp"
 #include "campaign/cost_model.hpp"
 #include "campaign/fleet.hpp"
 #include "campaign/lease.hpp"
@@ -172,27 +174,54 @@ TEST(LeaseTableTest, QuarantineGuardsAgainstBookkeepingBugs) {
 TEST(LeaseTableTest, SuggestedLeaseShrinksAsQueueDrains) {
     LeaseTable table(12, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
     // ceil(12 / (2*3)) = 2 with a full queue...
-    EXPECT_EQ(table.suggested_lease(3, 0), 2u);
+    EXPECT_EQ(table.suggested_lease(3), 2u);
     (void)table.grant(0, 9);
     // ...down to 1 near the end (this is the work-stealing)...
-    EXPECT_EQ(table.suggested_lease(3, 0), 1u);
+    EXPECT_EQ(table.suggested_lease(3), 1u);
     (void)table.grant(1, 3);
     // ...and 0 when nothing is pending.
-    EXPECT_EQ(table.suggested_lease(3, 0), 0u);
-    // max_lease caps the full-queue suggestion.
+    EXPECT_EQ(table.suggested_lease(3), 0u);
+    // A wide queue splits across the workers with headroom.
     LeaseTable wide(100, [] {
         std::vector<std::size_t> order(100);
         for (std::size_t i = 0; i < 100; ++i) order[i] = i;
         return order;
     }());
-    EXPECT_EQ(wide.suggested_lease(2, 0), 25u);
-    EXPECT_EQ(wide.suggested_lease(2, 4), 4u);
+    EXPECT_EQ(wide.suggested_lease(2), 25u);
 }
 
 TEST(LeaseTableTest, RejectsNonPermutationOrder) {
     EXPECT_THROW(LeaseTable(3, {0, 1}), support::LogicError);       // short
     EXPECT_THROW(LeaseTable(3, {0, 1, 1}), support::LogicError);    // dup
     EXPECT_THROW(LeaseTable(3, {0, 1, 3}), support::LogicError);    // range
+}
+
+// ------------------------------------------------------ coordinator ledger
+
+TEST(CoordinatorLedgerTest, ParseDropsTheTornTailAndRefusesForeignText) {
+    const std::string spawn =
+        R"({"event":"spawn","slot":1,"generation":2,"incarnation":5,"pid":77,)"
+        R"("dir":"out/workers/w1r2"})";
+    const std::string crash =
+        R"({"event":"crash","cell":3,"slot":1,"generation":2,"incarnation":5,)"
+        R"("pid":77,"reason":"pipe closed"})";
+    const std::string text = ledger_header("abc", 4, "c.yaml") + "\n" + spawn + "\n" +
+                             crash + "\n" + R"({"event":"quarant)";  // torn tail
+    const LedgerState state = parse_ledger(text, "ledger");
+    EXPECT_EQ(state.spec_digest, "abc");
+    EXPECT_EQ(state.cells_total, 4u);
+    ASSERT_EQ(state.spawns.size(), 1u);
+    EXPECT_EQ(state.spawns[0].incarnation, 5);
+    EXPECT_EQ(state.spawns[0].dir, "out/workers/w1r2");
+    ASSERT_EQ(state.crashes.size(), 1u);
+    EXPECT_EQ(state.crashes[0].cell, 3u);
+    EXPECT_EQ(state.crashes[0].crash.reason, "pipe closed");
+    EXPECT_TRUE(state.quarantines.empty());
+    EXPECT_EQ(state.raw_events, (std::vector<std::string>{spawn, crash}));
+
+    EXPECT_THROW((void)parse_ledger("", "ledger"), support::ConfigError);
+    EXPECT_THROW((void)parse_ledger(R"({"schema":"other"})" "\n", "ledger"),
+                 support::ConfigError);
 }
 
 // -------------------------------------------------------------- cost model

@@ -54,23 +54,8 @@ void print_usage(std::FILE* stream) {
         "  --worker-threads <n>     in-process pool size per worker (sets\n"
         "                           SDLBENCH_WORKERS in the worker's env);\n"
         "                           default: hardware threads / workers\n"
-        "  --heartbeat-timeout <s>  declare a silent worker hung after this many\n"
-        "                           seconds, SIGKILL it, and re-lease its\n"
-        "                           incomplete cells (default 30)\n"
-        "  --merge-every <n>        rewrite campaign.json/csv after every n\n"
-        "                           completed cells (default 1: fully live)\n"
-        "  --max-lease <n>          cap cells per lease (default adaptive:\n"
-        "                           ceil(pending / (2 x workers)))\n"
         "  --resume                 restart a killed coordinator from output_dir's\n"
         "                           coordinator.jsonl ledger + worker journals\n"
-        "  --quarantine-after <k>   quarantine a cell after it crashes k distinct\n"
-        "                           worker incarnations (default 3); quarantined\n"
-        "                           cells are reported in campaign.json and the\n"
-        "                           fleet exits 6\n"
-        "  --max-respawns <n>       per-slot respawn budget (default 8); a slot\n"
-        "                           that exhausts it is retired\n"
-        "  --respawn-backoff <s>    base respawn delay, doubled per consecutive\n"
-        "                           crash up to a 5s cap (default 0.25)\n"
         "  --failpoints <spec>      arm coordinator-side failpoints (overrides\n"
         "                           SDLBENCH_FAILPOINTS); docs/ROBUSTNESS.md has\n"
         "                           the grammar and site catalog\n"
@@ -83,7 +68,8 @@ void print_usage(std::FILE* stream) {
         "remain under output_dir/workers/wN/ (respawns under wNrG/). The final\n"
         "report is byte-identical to a single-process `sdlbench_run --campaign`\n"
         "run, including when workers are killed mid-campaign or the coordinator\n"
-        "itself is killed and resumed. Exits 6 if any cell was quarantined.\n");
+        "itself is killed and resumed. A cell that crashes 3 distinct worker\n"
+        "incarnations is quarantined (docs/ROBUSTNESS.md); the fleet then exits 6.\n");
 }
 
 bool parse_size(const std::string& text, std::size_t& into) {
@@ -199,24 +185,6 @@ int main(int argc, char** argv) {
                 std::fprintf(stderr, "error: --worker-threads needs an integer\n");
                 return 2;
             }
-        } else if (*it == "--merge-every") {
-            if (!take_value("--merge-every", text)) return 2;
-            if (!parse_size(text, options.merge_every) || options.merge_every == 0) {
-                std::fprintf(stderr, "error: --merge-every needs a positive integer\n");
-                return 2;
-            }
-        } else if (*it == "--max-lease") {
-            if (!take_value("--max-lease", text)) return 2;
-            if (!parse_size(text, options.max_lease)) {
-                std::fprintf(stderr, "error: --max-lease needs an integer\n");
-                return 2;
-            }
-        } else if (*it == "--heartbeat-timeout") {
-            if (!take_value("--heartbeat-timeout", text)) return 2;
-            if (!parse_double(text, options.heartbeat_timeout_s)) {
-                std::fprintf(stderr, "error: --heartbeat-timeout needs seconds > 0\n");
-                return 2;
-            }
         } else if (*it == "--worker-failpoints") {
             if (!take_value("--worker-failpoints", text)) return 2;
             const std::size_t colon = text.find(':');
@@ -249,26 +217,6 @@ int main(int argc, char** argv) {
         } else if (*it == "--resume") {
             options.resume = true;
             it = args.erase(it);
-        } else if (*it == "--quarantine-after") {
-            if (!take_value("--quarantine-after", text)) return 2;
-            if (!parse_size(text, options.quarantine_after) ||
-                options.quarantine_after == 0) {
-                std::fprintf(stderr,
-                             "error: --quarantine-after needs a positive integer\n");
-                return 2;
-            }
-        } else if (*it == "--max-respawns") {
-            if (!take_value("--max-respawns", text)) return 2;
-            if (!parse_size(text, options.max_respawns)) {
-                std::fprintf(stderr, "error: --max-respawns needs an integer\n");
-                return 2;
-            }
-        } else if (*it == "--respawn-backoff") {
-            if (!take_value("--respawn-backoff", text)) return 2;
-            if (!parse_double(text, options.respawn_backoff_s)) {
-                std::fprintf(stderr, "error: --respawn-backoff needs seconds > 0\n");
-                return 2;
-            }
         } else if (!it->empty() && (*it)[0] == '-') {
             std::fprintf(stderr, "error: unknown flag '%s'\n", it->c_str());
             return 2;
@@ -292,7 +240,7 @@ int main(int argc, char** argv) {
         const campaign::FleetResult fleet = campaign::run_fleet(campaign_path, out_dir,
                                                                 options);
         const campaign::FleetSummary& s = fleet.summary;
-        // sdlbench-lint: allow(printf-float): terminal summary line; fleet_summary.json carries the round-trip values
+        // sdlbench-lint: allow(printf-float): terminal-only summary line; its values appear in no artifact
         std::printf("\nFleet done: %zu cells, makespan %.1fs, busy %.1fs, "
                     // sdlbench-lint: allow(printf-float): continuation of the same terminal summary line
                     "efficiency %.0f%% (%zu workers",

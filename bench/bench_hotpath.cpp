@@ -123,7 +123,6 @@ GpRow bench_gp(std::size_t n, std::size_t candidates, int reps) {
 struct VisionStats {
     double render_prepr_ns = 0.0;  ///< frozen PR-4 render_plate
     double render_full_ns = 0.0;
-    double render_cached_ns = 0.0;
     double read_prepr_ns = 0.0;  ///< frozen PR-4 read_plate
     double read_full_ns = 0.0;
     double read_scratch_ns = 0.0;
@@ -159,11 +158,6 @@ VisionStats bench_vision_paths(int reps) {
     stats.render_full_ns =
         time_per_call(reps, [&] { (void)imaging::render_plate(scene, colors, rng_a); }) *
         1e9;
-    support::Rng rng_b(7);
-    imaging::PlateRenderer renderer;
-    (void)renderer.render(scene, colors, rng_b);  // warm the base cache
-    stats.render_cached_ns =
-        time_per_call(reps, [&] { (void)renderer.render(scene, colors, rng_b); }) * 1e9;
 
     support::Rng frame_rng(9);
     const imaging::Image frame = imaging::render_plate(scene, colors, frame_rng);
@@ -218,9 +212,8 @@ VisionStats bench_vision_paths(int reps) {
                          }) *
                          1e9;
 
-    stats.render_speedup = stats.render_cached_ns > 0.0
-                               ? stats.render_prepr_ns / stats.render_cached_ns
-                               : 0.0;
+    stats.render_speedup =
+        stats.render_full_ns > 0.0 ? stats.render_prepr_ns / stats.render_full_ns : 0.0;
     stats.read_speedup =
         stats.read_session_ns > 0.0 ? stats.read_prepr_ns / stats.read_session_ns : 0.0;
     return stats;
@@ -295,10 +288,9 @@ int main(int argc, char** argv) {
     // Vision pipeline paths.
     std::printf("\n[Vision] per-frame costs (800x600 scene, 96 wells):\n");
     const VisionStats vision = bench_vision_paths(vision_reps);
-    std::printf("  render: PR4 %8.2f ms   full %8.2f ms   cached base %8.2f ms   "
-                "(%.2fx PR4->cached)\n",
+    std::printf("  render: PR4 %8.2f ms   full %8.2f ms   (%.2fx PR4->full)\n",
                 vision.render_prepr_ns / 1e6, vision.render_full_ns / 1e6,
-                vision.render_cached_ns / 1e6, vision.render_speedup);
+                vision.render_speedup);
     std::printf("  read:   PR4 %8.2f ms   full %8.2f ms   scratch %8.2f ms   "
                 "session(ROI) %8.2f ms  (%.2fx PR4->session)\n",
                 vision.read_prepr_ns / 1e6, vision.read_full_ns / 1e6,
@@ -349,7 +341,6 @@ int main(int argc, char** argv) {
     json::Value vis = json::Value::object();
     vis.set("render_prepr_ns", vision.render_prepr_ns);
     vis.set("render_full_ns", vision.render_full_ns);
-    vis.set("render_cached_ns", vision.render_cached_ns);
     vis.set("render_speedup_vs_prepr", vision.render_speedup);
     vis.set("read_prepr_ns", vision.read_prepr_ns);
     vis.set("read_full_ns", vision.read_full_ns);

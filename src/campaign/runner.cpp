@@ -43,9 +43,6 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
     support::Mutex done_mutex;
     std::size_t done = 0;
 
-    support::ParallelOptions parallel;
-    parallel.max_workers = options_.max_workers;
-    parallel.chunk = options_.chunk;
     std::vector<CellResult> mapped = pool.parallel_map(
         total,
         [&](std::size_t k) {
@@ -74,7 +71,7 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
             }
             return result;
         },
-        parallel);
+        support::ParallelOptions{});
     std::vector<CellResult> results(total);
     for (std::size_t k = 0; k < total; ++k) {
         results[order[k]] = std::move(mapped[k]);

@@ -27,11 +27,9 @@ struct CellResult {
     double wall_seconds = 0.0;
 };
 
+/// Cells run one per pool worker, each worker claiming one cell at a
+/// time; the pool passed to run() sets the parallelism.
 struct CampaignRunnerOptions {
-    /// Cap on cells in flight (0 = one per pool worker).
-    std::size_t max_workers = 0;
-    /// Cells claimed per worker grab (ThreadPool chunk hint).
-    std::size_t chunk = 1;
     /// Log one line per finished cell (level info, channel "campaign").
     bool log_progress = true;
     /// Extra per-cell completion hook (e.g. CLI progress output or the

@@ -44,8 +44,7 @@ wei::ActionResult CameraSim::execute(const wei::ActionRequest& request) {
 
     // Ring-light warm-up: the shading gradient drifts a little with every
     // frame captured so far.
-    const bool drifted = config_.drift_per_frame != 0.0;
-    if (drifted) {
+    if (config_.drift_per_frame != 0.0) {
         scene.illum_gradient.x +=
             config_.drift_per_frame * static_cast<double>(next_frame_id_ - 1);
     }
@@ -72,15 +71,7 @@ wei::ActionResult CameraSim::execute(const wei::ActionRequest& request) {
     }
 
     const std::int64_t frame_id = next_frame_id_++;
-    // Glitched scenes (marker moved) would evict the base cache twice per
-    // glitch, and drifted scenes change every frame, so the cache could
-    // never hit; render both one-shot. Either path produces
-    // bitwise-identical frames.
-    if (config_.cache_base_raster && !glitched && !drifted) {
-        frames_.emplace(frame_id, renderer_.render(scene, colors, rng_, &filled));
-    } else {
-        frames_.emplace(frame_id, imaging::render_plate(scene, colors, rng_, &filled));
-    }
+    frames_.emplace(frame_id, imaging::render_plate(scene, colors, rng_, &filled));
     while (frames_.size() > config_.max_frames) {
         frames_.erase(frames_.begin());  // evict the oldest frame
     }

@@ -4,8 +4,9 @@
 // location each time" (§2.2).
 //
 // The simulated camera renders the plate currently sitting on its nest
-// with the synthetic scene renderer (sensor noise, vignetting, lighting
-// gradient) and archives the frame; the application retrieves frames by
+// with the synthetic scene renderer (imaging::render_plate: sensor noise,
+// vignetting, lighting gradient), one frame from scratch per capture, and
+// archives the frame; the application retrieves frames by
 // id and runs the §2.4 vision pipeline on them — the full code path a
 // real webcam would feed.
 #pragma once
@@ -37,11 +38,6 @@ struct CameraConfig {
     /// light warms up over a campaign, slowly tilting the shading the
     /// vision pipeline has to read colors through. Frame 1 is undrifted.
     double drift_per_frame = 0.0;
-    /// Reuse the deterministic background+plate raster across captures of
-    /// an unchanged scene (imaging::PlateRenderer). Frames are bitwise
-    /// identical either way; the flag exists for identity tests and
-    /// benchmarks.
-    bool cache_base_raster = true;
 };
 
 /// Actions:
@@ -71,7 +67,6 @@ private:
     wei::LocationMap& locations_;
     wei::ModuleInfo info_;
     support::Rng rng_;
-    imaging::PlateRenderer renderer_;  ///< base-raster cache across captures
     std::map<std::int64_t, imaging::Image> frames_;
     std::int64_t next_frame_id_ = 1;
     std::int64_t frames_glitched_ = 0;

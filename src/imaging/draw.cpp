@@ -92,20 +92,32 @@ void fill_quad(Image& img, const Vec2 (&corners)[4], color::Rgb8 c) {
     }
     const double sign = area >= 0.0 ? 1.0 : -1.0;
 
-    for (int y = box.y0; y < box.y1; ++y) {
-        for (int x = box.x0; x < box.x1; ++x) {
-            const Vec2 p{x + 0.5, y + 0.5};
-            bool inside = true;
-            for (int i = 0; i < 4; ++i) {
-                const Vec2 a = corners[i];
-                const Vec2 b = corners[(i + 1) % 4];
-                if (sign * (b - a).cross(p - a) < 0.0) {
-                    inside = false;
-                    break;
-                }
-            }
-            if (inside) img.set_pixel(x, y, c);
+    const auto inside = [&](int x, int y) {
+        const Vec2 p{x + 0.5, y + 0.5};
+        for (int i = 0; i < 4; ++i) {
+            const Vec2 a = corners[i];
+            const Vec2 b = corners[(i + 1) % 4];
+            if (sign * (b - a).cross(p - a) < 0.0) return false;
         }
+        return true;
+    };
+
+    // Row spans. Along a row only p.x varies, and each edge's
+    // sign * (b - a).cross(p - a) is a chain of correctly rounded steps
+    // (p.x - a.x, a product with the fixed edge, a difference with the
+    // fixed other product, an exact sign flip), each weakly monotone in
+    // its input. So every edge test is weakly monotone in x — provided
+    // the compiler does not fuse the products into an FMA, which
+    // -ffp-contract=off rules out — and a row's inside pixels form one
+    // span. Finding its ends with the per-pixel test and filling between
+    // them sets exactly the pixels a test of every pixel would.
+    for (int y = box.y0; y < box.y1; ++y) {
+        int first = box.x0;
+        while (first < box.x1 && !inside(first, y)) ++first;
+        if (first == box.x1) continue;
+        int last = box.x1 - 1;
+        while (!inside(last, y)) --last;
+        for (int x = first; x <= last; ++x) img.set_pixel(x, y, c);
     }
 }
 

@@ -9,7 +9,7 @@ struct Vec2 {
     double x = 0.0;
     double y = 0.0;
 
-    /// Exact component equality (cache keys, tests) — not a tolerance.
+    /// Exact component equality (tests) — not a tolerance.
     friend constexpr bool operator==(Vec2 a, Vec2 b) noexcept = default;
 
     friend constexpr Vec2 operator+(Vec2 a, Vec2 b) noexcept { return {a.x + b.x, a.y + b.y}; }

@@ -21,25 +21,10 @@ std::uint8_t shade(std::uint8_t value, double factor, double noise) noexcept {
     return static_cast<std::uint8_t>(q < 0 ? 0 : (q > 255 ? 255 : q));
 }
 
-void validate_inputs(const PlateScene& scene, std::span<const color::Rgb8> well_colors,
-                     const std::vector<bool>* filled) {
+/// Plate body: a quadrilateral covering the well block plus a margin.
+void draw_plate_body(Image& img, const PlateScene& scene, const std::vector<Vec2>& centers) {
     const SceneGeometry& g = scene.geometry;
-    support::check(well_colors.size() == static_cast<std::size_t>(g.well_count()),
-                   "well color count must equal rows*cols");
-    support::check(filled == nullptr ||
-                       filled->size() == static_cast<std::size_t>(g.well_count()),
-                   "fill mask size must equal rows*cols");
-}
-
-/// The scene-only raster: deck background plus plate body. Everything
-/// here is deterministic in the scene, which is what makes it cacheable
-/// across frames.
-Image render_base(const PlateScene& scene, const std::vector<Vec2>& centers) {
-    const SceneGeometry& g = scene.geometry;
-    Image img(scene.width, scene.height, scene.background);
     const double pitch = g.spacing * scene.marker_side_px;
-
-    // Plate body: a quadrilateral covering the well block plus a margin.
     const Vec2 ux = Vec2{1, 0}.rotated(scene.angle_rad);
     const Vec2 uy = Vec2{0, 1}.rotated(scene.angle_rad);
     const double margin = pitch * 0.9;
@@ -50,7 +35,6 @@ Image render_base(const PlateScene& scene, const std::vector<Vec2>& centers) {
     const Vec2 bl = tl + uy * ((br - tl).dot(uy));
     const Vec2 corners[4] = {tl, tr, br, bl};
     fill_quad(img, corners, scene.plate_body);
-    return img;
 }
 
 /// Wells: rim ring plus interior (sample color or empty plastic).
@@ -160,11 +144,10 @@ double field_normal(const NormalCell* table, std::uint64_t field) noexcept {
 /// factor combines them with the exact expression the scalar
 /// illumination() helper used, so the shading bits are unchanged. The
 /// frame's noise key is the one draw this makes from `rng`.
-void apply_sensor_model(Image& img, const PlateScene& scene, support::Rng& rng,
-                        std::vector<double>& nx, std::vector<double>& nx2) {
+void apply_sensor_model(Image& img, const PlateScene& scene, support::Rng& rng) {
     const auto width = static_cast<std::size_t>(scene.width);
-    nx.resize(width);
-    nx2.resize(width);
+    std::vector<double> nx(width);
+    std::vector<double> nx2(width);
     for (std::size_t x = 0; x < width; ++x) {
         nx[x] = static_cast<double>(x) / scene.width - 0.5;
         nx2[x] = nx[x] * nx[x];
@@ -215,10 +198,6 @@ std::vector<Vec2> true_well_centers(const PlateScene& scene) {
     return centers;
 }
 
-bool same_scene(const PlateScene& a, const PlateScene& b) noexcept {
-    return a == b;  // defaulted memberwise equality — cannot drift
-}
-
 PlateScene scene_for_plate(PlateScene scene, int rows, int cols) {
     scene.geometry.rows = rows;
     scene.geometry.cols = cols;
@@ -242,36 +221,17 @@ PlateScene scene_for_plate(PlateScene scene, int rows, int cols) {
 
 Image render_plate(const PlateScene& scene, std::span<const color::Rgb8> well_colors,
                    support::Rng& rng, const std::vector<bool>* filled) {
-    validate_inputs(scene, well_colors, filled);
+    const auto wells = static_cast<std::size_t>(scene.geometry.well_count());
+    support::check(well_colors.size() == wells, "well color count must equal rows*cols");
+    support::check(filled == nullptr || filled->size() == wells,
+                   "fill mask size must equal rows*cols");
     const std::vector<Vec2> centers = true_well_centers(scene);
-    Image img = render_base(scene, centers);
+    Image img(scene.width, scene.height, scene.background);
+    draw_plate_body(img, scene, centers);
     draw_wells(img, scene, centers, well_colors, filled);
     render_marker(img, MarkerDictionary::standard(), scene.marker_id, scene.marker_center,
                   scene.marker_side_px, scene.angle_rad);
-    std::vector<double> nx;
-    std::vector<double> nx2;
-    apply_sensor_model(img, scene, rng, nx, nx2);
-    return img;
-}
-
-Image PlateRenderer::render(const PlateScene& scene,
-                            std::span<const color::Rgb8> well_colors, support::Rng& rng,
-                            const std::vector<bool>* filled) {
-    validate_inputs(scene, well_colors, filled);
-    if (!base_valid_ || !same_scene(scene, base_scene_)) {
-        centers_ = true_well_centers(scene);
-        base_ = render_base(scene, centers_);
-        base_scene_ = scene;
-        base_valid_ = true;
-        ++base_rebuilds_;
-    } else {
-        ++base_hits_;
-    }
-    Image img = base_;
-    draw_wells(img, scene, centers_, well_colors, filled);
-    render_marker(img, MarkerDictionary::standard(), scene.marker_id, scene.marker_center,
-                  scene.marker_side_px, scene.angle_rad);
-    apply_sensor_model(img, scene, rng, illum_nx_, illum_nx2_);
+    apply_sensor_model(img, scene, rng);
     return img;
 }
 

@@ -5,10 +5,10 @@
 // nuisances — sensor noise, vignetting, an illumination gradient, well
 // wall rings, and empty wells that produce the low-contrast circles that
 // HoughCircles tends to miss (the false negatives §2.4's grid alignment
-// rescues).
+// rescues). render_plate is the only renderer: every frame is drawn from
+// scratch, with no raster carried across frames.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,8 +33,6 @@ struct SceneGeometry {
     Vec2 plate_offset{1.45, -2.17};
 
     [[nodiscard]] int well_count() const noexcept { return rows * cols; }
-
-    friend bool operator==(const SceneGeometry&, const SceneGeometry&) = default;
 };
 
 struct PlateScene {
@@ -62,17 +60,13 @@ struct PlateScene {
     double noise_sigma = 2.0;      ///< Gaussian sensor noise, 8-bit units
     double vignette = 0.10;        ///< corner darkening strength
     Vec2 illum_gradient{0.04, -0.03};  ///< linear shading across the frame
-
-    /// Memberwise exact equality — the PlateRenderer base-raster cache
-    /// key. Defaulted so a new field can never silently fall out of the
-    /// comparison and leave the cache serving stale rasters.
-    friend bool operator==(const PlateScene&, const PlateScene&) = default;
 };
 
-/// Renders the scene. `well_colors` has rows*cols entries in row-major
-/// order; `filled` marks which wells contain liquid (nullopt = all). The
-/// RNG drives sensor noise only: the frame takes exactly one draw from it,
-/// a key of which every pixel's noise is a pure function.
+/// Renders the scene from scratch: deck, plate body, wells, marker, then
+/// shading and sensor noise. `well_colors` has rows*cols entries in
+/// row-major order; `filled` marks which wells contain liquid (nullptr =
+/// all). The RNG drives sensor noise only: the frame takes exactly one
+/// draw from it, a key of which every pixel's noise is a pure function.
 [[nodiscard]] Image render_plate(const PlateScene& scene,
                                  std::span<const color::Rgb8> well_colors,
                                  support::Rng& rng,
@@ -89,40 +83,5 @@ struct PlateScene {
 /// well keeps its 96-well *pixel* size — the Hough radius band and the
 /// §2.4 marker-relative geometry both keep working unchanged.
 [[nodiscard]] PlateScene scene_for_plate(PlateScene scene, int rows, int cols);
-
-/// Field-by-field scene equality (geometry, colors, nuisances) — the
-/// base-raster cache key.
-[[nodiscard]] bool same_scene(const PlateScene& a, const PlateScene& b) noexcept;
-
-/// Session renderer for a fixed camera. The rasterization up to (and
-/// excluding) the wells — deck background plus plate body — depends only
-/// on the scene, not on well contents, so consecutive frames of an
-/// unchanged scene start from a cached copy of that base raster instead
-/// of re-rasterizing it. Wells, marker, illumination, and sensor noise
-/// are applied per frame in the exact order render_plate uses, so every
-/// frame is bitwise identical to a from-scratch render with the same rng
-/// stream. Owns the per-column illumination precompute as well. One per
-/// camera; never shared across threads.
-class PlateRenderer {
-public:
-    [[nodiscard]] Image render(const PlateScene& scene,
-                               std::span<const color::Rgb8> well_colors,
-                               support::Rng& rng,
-                               const std::vector<bool>* filled = nullptr);
-
-    /// Frames that reused the cached base raster.
-    [[nodiscard]] std::size_t base_hits() const noexcept { return base_hits_; }
-    [[nodiscard]] std::size_t base_rebuilds() const noexcept { return base_rebuilds_; }
-
-private:
-    bool base_valid_ = false;
-    PlateScene base_scene_;
-    Image base_;
-    std::vector<Vec2> centers_;
-    std::vector<double> illum_nx_;   ///< per-column gradient coordinate
-    std::vector<double> illum_nx2_;  ///< per-column vignette term
-    std::size_t base_hits_ = 0;
-    std::size_t base_rebuilds_ = 0;
-};
 
 }  // namespace sdl::imaging

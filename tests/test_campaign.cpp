@@ -169,18 +169,17 @@ TEST(Campaign, ThreadCountInvariantByteIdenticalResults) {
     spec.axes.solvers = {"bayesian", "random"};
     std::string reference;
     const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    CampaignRunnerOptions options;
+    options.log_progress = false;
+    const CampaignRunner runner(options);
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, hw}) {
-        CampaignRunnerOptions options;
-        options.log_progress = false;
-        options.max_workers = workers;
-        const CampaignRunner runner(options);
-        const auto results = runner.run(spec);
+        support::ThreadPool pool(workers);
+        const auto results = runner.run(spec, pool);
         const std::string doc = campaign_results_to_json(spec, results).pretty();
         if (reference.empty()) {
             reference = doc;
         } else {
-            EXPECT_EQ(doc, reference) << "campaign.json diverged at max_workers="
-                                      << workers;
+            EXPECT_EQ(doc, reference) << "campaign.json diverged at " << workers << " threads";
         }
     }
 }

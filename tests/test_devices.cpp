@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <ios>
 #include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "color/rgb.hpp"
 #include "des/simulation.hpp"
@@ -510,39 +515,68 @@ TEST(Camera, GlitchedFrameHasNoDetectableMarker) {
                     .empty());
 }
 
-TEST(Camera, BaseRasterCacheFramesByteIdentical) {
-    // The PlateRenderer base cache is a pure perf optimization: with the
-    // same noise seed, a caching camera and a non-caching camera must
-    // archive byte-identical frames across a sequence of captures with
-    // changing well contents and interleaved glitches.
-    TestWorkcell cell;
-    CameraConfig cached_config;
-    cached_config.glitch_prob = 0.25;
-    cached_config.max_frames = 64;
-    CameraConfig plain_config = cached_config;
-    plain_config.cache_base_raster = false;
-    CameraSim cached(cached_config, cell.plates, cell.locations);
-    CameraSim plain(plain_config, cell.plates, cell.locations);
+namespace {
 
-    const PlateId id = cell.plates.create(8, 12);
-    cell.locations.place(locations::kCamera, id);
-    Plate& plate = cell.plates.get(id);
-    for (int i = 0; i < 12; ++i) {
-        WellContent content;
-        content.true_color = {static_cast<std::uint8_t>(20 * i), 120, 90};
-        plate.fill(i * 7, content);
-        const auto a = cached.execute(request_of("camera", "take_picture"));
-        const auto b = plain.execute(request_of("camera", "take_picture"));
-        ASSERT_TRUE(a.ok());
-        ASSERT_TRUE(b.ok());
-        EXPECT_EQ(a.data.at("glitched").as_bool(), b.data.at("glitched").as_bool());
-        const imaging::Image& fa = cached.frame(a.data.at("frame_id").as_int());
-        const imaging::Image& fb = plain.frame(b.data.at("frame_id").as_int());
-        const auto ba = fa.bytes();
-        const auto bb = fb.bytes();
-        ASSERT_EQ(ba.size(), bb.size());
-        EXPECT_TRUE(std::equal(ba.begin(), ba.end(), bb.begin())) << "capture " << i;
+/// FNV-1a 64 folded over `bytes`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> bytes) noexcept {
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ULL;  // FNV prime
     }
+    return h;
+}
+
+}  // namespace
+
+TEST(Camera, FrameBytesPinnedAcrossPlateFormats) {
+    // Golden digest over every frame the camera captures of 96-, 384- and
+    // 1536-well plates, with glitched and drifted frames in the sequence,
+    // then over direct render_plate calls at three rotations with a
+    // partial fill mask. It pins the rendered bytes (deck, plate body,
+    // wells, marker, shading, sensor noise) and the camera's rng draw
+    // order; any change to either is a deliberate golden re-pin.
+    const std::pair<int, int> formats[3] = {{8, 12}, {16, 24}, {32, 48}};
+    std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+    int glitches = 0;
+    for (const auto& [rows, cols] : formats) {
+        TestWorkcell cell;
+        CameraConfig config;
+        config.glitch_prob = 0.25;
+        config.drift_per_frame = 0.003;
+        config.max_frames = 1;
+        config.noise_seed = 0xF001 + static_cast<std::uint64_t>(rows);
+        CameraSim camera(config, cell.plates, cell.locations);
+        const PlateId id = cell.plates.create(rows, cols);
+        cell.locations.place(locations::kCamera, id);
+        Plate& plate = cell.plates.get(id);
+        for (int i = 0; i < 4; ++i) {
+            WellContent content;
+            content.true_color = {static_cast<std::uint8_t>(40 * i + 30), 150, 70};
+            plate.fill(i * 13, content);
+            const auto result = camera.execute(request_of("camera", "take_picture"));
+            ASSERT_TRUE(result.ok());
+            glitches += result.data.at("glitched").as_bool() ? 1 : 0;
+            h = fnv1a(h, camera.frame(result.data.at("frame_id").as_int()).bytes());
+        }
+    }
+    const double angles[3] = {-0.12, 0.05, 0.3};
+    for (std::size_t k = 0; k < 3; ++k) {
+        const auto [rows, cols] = formats[k];
+        imaging::PlateScene scene = imaging::scene_for_plate(imaging::PlateScene{}, rows, cols);
+        scene.angle_rad = angles[k];
+        const auto wells = static_cast<std::size_t>(rows * cols);
+        std::vector<color::Rgb8> colors(wells);
+        std::vector<bool> filled(wells);
+        for (std::size_t i = 0; i < wells; ++i) {
+            colors[i] = {static_cast<std::uint8_t>(i * 37), static_cast<std::uint8_t>(i * 11),
+                         static_cast<std::uint8_t>(255 - i)};
+            filled[i] = i % 3 != 1;
+        }
+        support::Rng rng(500 + k);
+        h = fnv1a(h, imaging::render_plate(scene, colors, rng, &filled).bytes());
+    }
+    EXPECT_GT(glitches, 0);  // glitched frames are part of what is pinned
+    EXPECT_EQ(h, 0x36ce6935fefe81e2ULL) << "frame digest " << std::hex << h;
 }
 
 TEST(Camera, GlitchSequenceIndependentOfPlateFormat) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "imaging/components.hpp"
@@ -83,6 +84,115 @@ TEST(Draw, FillQuadHandlesBothWindingOrders) {
         }
     }
     EXPECT_EQ(a.pixel(10, 10), (Rgb8{255, 255, 255}));
+}
+
+namespace {
+
+/// The per-pixel rule fill_quad must reproduce: a pixel is covered when its
+/// center lies on the inner side of all four edges, the inner side taken
+/// from the sign of the quad's signed area.
+bool quad_covers(const Vec2 (&q)[4], int x, int y) {
+    double area = 0.0;
+    for (int i = 0; i < 4; ++i) area += q[i].cross(q[(i + 1) % 4]);
+    const double sign = area >= 0.0 ? 1.0 : -1.0;
+    const Vec2 p{x + 0.5, y + 0.5};
+    for (int i = 0; i < 4; ++i) {
+        const Vec2 a = q[i];
+        const Vec2 b = q[(i + 1) % 4];
+        if (sign * (b - a).cross(p - a) < 0.0) return false;
+    }
+    return true;
+}
+
+/// Fills `q` into a w x h frame and checks every pixel against
+/// quad_covers; returns the number of covered pixels.
+long expect_fill_matches_reference(const Vec2 (&q)[4], int w, int h) {
+    const Rgb8 bg{1, 2, 3};
+    const Rgb8 fg{250, 251, 252};
+    Image img(w, h, bg);
+    fill_quad(img, q, fg);
+    long covered = 0;
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            const Rgb8 want = quad_covers(q, x, y) ? fg : bg;
+            if (img.pixel(x, y) != want) {
+                ADD_FAILURE() << "pixel " << x << "," << y;  // one report per quad
+                return covered;
+            }
+            covered += want == fg ? 1 : 0;
+        }
+    }
+    return covered;
+}
+
+/// Corners of the rectangle centred on `c` with half-sides `hx`, `hy`,
+/// rotated by `angle`; `reverse` flips the winding.
+void rotated_rect(Vec2 (&q)[4], Vec2 c, double hx, double hy, double angle, bool reverse) {
+    const Vec2 ux = Vec2{1, 0}.rotated(angle) * hx;
+    const Vec2 uy = Vec2{0, 1}.rotated(angle) * hy;
+    const Vec2 corners[4] = {c - ux - uy, c + ux - uy, c + ux + uy, c - ux + uy};
+    for (int i = 0; i < 4; ++i) q[i] = corners[reverse ? 3 - i : i];
+}
+
+}  // namespace
+
+TEST(Draw, FillQuadRowSpansMatchPerPixelRule) {
+    // fill_quad fills each row between its first and last covered pixel
+    // without testing the pixels in between. Check it against the
+    // per-pixel rule on every pixel of the frame.
+    constexpr int kW = 64;
+    constexpr int kH = 48;
+    Rng rng(1234);
+    Vec2 q[4];
+    long covered = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        // Random convex quads (an affine image of four sorted points on a
+        // circle), both windings, centres up to 20 px outside the frame.
+        double t[4];
+        for (double& v : t) v = rng.uniform(0.0, 2.0 * 3.14159265358979323846);
+        std::sort(t, t + 4);
+        const Vec2 c{rng.uniform(-20.0, kW + 20.0), rng.uniform(-20.0, kH + 20.0)};
+        const double sx = rng.uniform(0.5, 30.0);
+        const double sy = rng.uniform(0.5, 30.0);
+        const double angle = rng.uniform(-3.2, 3.2);
+        const bool reverse = trial % 2 == 1;
+        for (int i = 0; i < 4; ++i) {
+            const double ti = t[reverse ? 3 - i : i];
+            q[i] = c + Vec2{sx * std::cos(ti), sy * std::sin(ti)}.rotated(angle);
+        }
+        covered += expect_fill_matches_reference(q, kW, kH);
+        // Rotated slivers thinner than a pixel.
+        rotated_rect(q, c, rng.uniform(2.0, 40.0), rng.uniform(0.05, 0.45),
+                     rng.uniform(-3.2, 3.2), reverse);
+        covered += expect_fill_matches_reference(q, kW, kH);
+    }
+    EXPECT_GT(covered, 10000);  // the quads are not all off-frame
+
+    // Fully off-frame on each side: nothing is drawn.
+    const Vec2 away[4] = {{-50, 10}, {kW + 50.0, 10}, {10, -50}, {10, kH + 50.0}};
+    for (const Vec2 c : away) {
+        rotated_rect(q, c, 20.0, 8.0, 0.3, false);
+        EXPECT_EQ(expect_fill_matches_reference(q, kW, kH), 0);
+    }
+
+    // The plate-body quads the renderer draws on 96-, 384- and 1536-well
+    // scenes, upright and rotated.
+    for (const auto& [rows, cols] : {std::pair{8, 12}, std::pair{16, 24}, std::pair{32, 48}}) {
+        for (const double angle : {0.0, 0.04, -0.3}) {
+            PlateScene scene = scene_for_plate(PlateScene{}, rows, cols);
+            scene.angle_rad = angle;
+            const std::vector<Vec2> centers = true_well_centers(scene);
+            const Vec2 ux = Vec2{1, 0}.rotated(angle);
+            const Vec2 uy = Vec2{0, 1}.rotated(angle);
+            const double margin = scene.geometry.spacing * scene.marker_side_px * 0.9;
+            const Vec2 tl = centers.front() - ux * margin - uy * margin;
+            const Vec2 br = centers.back() + ux * margin + uy * margin;
+            const Vec2 body[4] = {tl, tl + ux * ((br - tl).dot(ux)), br,
+                                  tl + uy * ((br - tl).dot(uy))};
+            EXPECT_GT(expect_fill_matches_reference(body, scene.width, scene.height), 0)
+                << rows * cols << " wells, angle " << angle;
+        }
+    }
 }
 
 TEST(Draw, LineConnectsEndpoints) {
@@ -425,7 +535,7 @@ TEST(WellReaderExtra, AcceptsSpecificMarkerId) {
 // ------------------------------------------------- hot-path identity
 //
 // The zero-allocation vision pipeline (scratch pools, region-restricted
-// marker detection, base-raster render cache) carries one contract:
+// marker detection) carries one contract:
 // every output is bitwise identical to the one-shot allocating flow.
 
 namespace {
@@ -521,48 +631,6 @@ TEST(HotPath, SobelAndAdaptiveThresholdScratchBitwise) {
             }
         }
     }
-}
-
-TEST(HotPath, RenderCacheByteIdenticalAcross100Frames) {
-    // PlateRenderer (cached base raster, per-column illumination) vs
-    // one-shot render_plate with a twin rng stream: 100 frames of
-    // changing well contents must encode to identical PPM bytes.
-    PlateScene scene;
-    scene.angle_rad = 0.04;
-    Rng rng_cached(91);
-    Rng rng_fresh(91);
-    PlateRenderer renderer;
-    for (int frame_index = 0; frame_index < 100; ++frame_index) {
-        Rng color_rng(2000 + static_cast<std::uint64_t>(frame_index));
-        std::vector<Rgb8> colors;
-        std::vector<bool> filled;
-        for (int i = 0; i < scene.geometry.well_count(); ++i) {
-            colors.push_back({static_cast<std::uint8_t>(color_rng.uniform_int(256)),
-                              static_cast<std::uint8_t>(color_rng.uniform_int(256)),
-                              static_cast<std::uint8_t>(color_rng.uniform_int(256))});
-            filled.push_back((i + frame_index) % 3 != 0);
-        }
-        const Image cached = renderer.render(scene, colors, rng_cached, &filled);
-        const Image fresh = render_plate(scene, colors, rng_fresh, &filled);
-        ASSERT_EQ(encode_ppm(cached), encode_ppm(fresh)) << "frame " << frame_index;
-    }
-    EXPECT_EQ(renderer.base_rebuilds(), 1u);
-    EXPECT_EQ(renderer.base_hits(), 99u);
-}
-
-TEST(HotPath, RenderCacheRebuildsWhenSceneChanges) {
-    PlateScene scene;
-    std::vector<Rgb8> colors(96, Rgb8{90, 140, 60});
-    Rng rng_a(3), rng_b(3);
-    PlateRenderer renderer;
-    (void)renderer.render(scene, colors, rng_a);
-    PlateScene moved = scene;
-    moved.marker_center = {200.0, 260.0};
-    const Image cached = renderer.render(moved, colors, rng_a);
-    (void)render_plate(scene, colors, rng_b);
-    const Image fresh = render_plate(moved, colors, rng_b);
-    EXPECT_EQ(renderer.base_rebuilds(), 2u);
-    ASSERT_EQ(encode_ppm(cached), encode_ppm(fresh));
 }
 
 TEST(HotPath, ScratchReadPlateBitwiseAcrossFrames) {

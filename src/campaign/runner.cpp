@@ -5,27 +5,13 @@
 
 #include "campaign/cost_model.hpp"
 #include "core/colorpicker.hpp"
-#include "support/log.hpp"
 #include "support/mutex.hpp"
 
 namespace sdl::campaign {
 
-std::vector<CellResult> CampaignRunner::run(const CampaignSpec& spec) const {
-    return run(spec, support::global_pool());
-}
-
 std::vector<CellResult> CampaignRunner::run(const CampaignSpec& spec,
                                             support::ThreadPool& pool) const {
-    std::vector<CampaignCell> cells = expand_grid(spec);
-    if (options_.log_progress) {
-        support::log_info("campaign", "'", spec.name, "': ", cells.size(), " cells on ",
-                          pool.size(), " workers");
-    }
-    return run_cells(std::move(cells), pool);
-}
-
-std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cells) const {
-    return run_cells(std::move(cells), support::global_pool());
+    return run_cells(expand_grid(spec), pool);
 }
 
 std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cells,
@@ -37,9 +23,8 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
     // input order below, so output bytes are identical to the unordered
     // run.
     const std::vector<std::size_t> order = schedule_order(cells);
-    // Serializes completion handling: the progress log line and the
-    // on_cell_done hook (see runner.hpp). Pool workers would otherwise
-    // interleave a journaling callback's writes.
+    // Serializes the on_cell_done hook (see runner.hpp). Pool workers
+    // would otherwise interleave a journaling callback's writes.
     support::Mutex done_mutex;
     std::size_t done = 0;
 
@@ -56,22 +41,12 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
                 // sdlbench-lint: allow(steady-clock): wall_seconds is journal-only telemetry; campaign.json reports modeled time
                 std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
                     .count();
-            {
+            if (options_.on_cell_done) {
                 support::MutexLock lock(done_mutex);
-                const std::size_t finished = ++done;
-                if (options_.log_progress) {
-                    support::log_info("campaign", "[", finished, "/", total, "] ",
-                                      result.cell.config.experiment_id,
-                                      " best=", result.outcome.best_score, " (",
-                                      result.outcome.samples.size(), " samples)");
-                }
-                if (options_.on_cell_done) {
-                    options_.on_cell_done(result, finished, total);
-                }
+                options_.on_cell_done(result, ++done, total);
             }
             return result;
-        },
-        support::ParallelOptions{});
+        });
     std::vector<CellResult> results(total);
     for (std::size_t k = 0; k < total; ++k) {
         results[order[k]] = std::move(mapped[k]);

@@ -2,10 +2,12 @@
 //
 // Every cell is an independent simulated workcell (its own
 // core::WorkcellRuntime), so cells parallelize perfectly; the runner fans
-// them out with support::ThreadPool::parallel_map using the hinted
-// overload, claims cells longest-expected-first (campaign/cost_model.hpp,
+// them out with support::ThreadPool::parallel_map on the pool it is
+// given, claims cells longest-expected-first (campaign/cost_model.hpp,
 // LPT scheduling — shortens the makespan tail on cost-skewed grids),
-// keeps results in grid order, and logs progress as cells complete.
+// keeps results in grid order, and reports each finished cell to an
+// optional hook. Work a cell fans out itself (the GP's candidate scoring)
+// nests on support::global_pool().
 // Determinism: a cell's outcome depends only on its resolved
 // config (expand_grid's deterministic seeds), never on scheduling, so the
 // same spec always produces identical results.
@@ -30,14 +32,12 @@ struct CellResult {
 /// Cells run one per pool worker, each worker claiming one cell at a
 /// time; the pool passed to run() sets the parallelism.
 struct CampaignRunnerOptions {
-    /// Log one line per finished cell (level info, channel "campaign").
-    bool log_progress = true;
-    /// Extra per-cell completion hook (e.g. CLI progress output or the
+    /// Per-cell completion hook (e.g. CLI progress output or the
     /// checkpoint journal). Called in completion order. Guarantee: the
-    /// runner serializes every invocation (and the progress log line)
-    /// behind one mutex, so the hook never runs concurrently with itself
-    /// — a journaling callback can append to a shared file without its
-    /// own locking. Keep it fast; cells block on the mutex while it runs.
+    /// runner serializes every invocation behind one mutex, so the hook
+    /// never runs concurrently with itself — a journaling callback can
+    /// append to a shared file without its own locking. Keep it fast;
+    /// cells block on the mutex while it runs.
     std::function<void(const CellResult&, std::size_t done, std::size_t total)>
         on_cell_done;
 };
@@ -46,21 +46,17 @@ class CampaignRunner {
 public:
     explicit CampaignRunner(CampaignRunnerOptions options = {}) : options_(options) {}
 
-    /// Expands `spec` and runs every cell on the process-wide pool.
-    [[nodiscard]] std::vector<CellResult> run(const CampaignSpec& spec) const;
-
-    /// Same, on an explicit pool.
-    [[nodiscard]] std::vector<CellResult> run(const CampaignSpec& spec,
-                                              support::ThreadPool& pool) const;
+    /// Expands `spec` and runs every cell on `pool`.
+    [[nodiscard]] std::vector<CellResult> run(
+        const CampaignSpec& spec,
+        support::ThreadPool& pool = support::global_pool()) const;
 
     /// Runs an explicit subset of expanded cells (a shard, or the cells a
-    /// resumed run still owes) on the process-wide pool. Results keep the
-    /// order of `cells`, which need not be contiguous in the grid.
-    [[nodiscard]] std::vector<CellResult> run_cells(std::vector<CampaignCell> cells) const;
-
-    /// Same, on an explicit pool.
-    [[nodiscard]] std::vector<CellResult> run_cells(std::vector<CampaignCell> cells,
-                                                    support::ThreadPool& pool) const;
+    /// resumed run still owes) on `pool`. Results keep the order of
+    /// `cells`, which need not be contiguous in the grid.
+    [[nodiscard]] std::vector<CellResult> run_cells(
+        std::vector<CampaignCell> cells,
+        support::ThreadPool& pool = support::global_pool()) const;
 
 private:
     CampaignRunnerOptions options_;

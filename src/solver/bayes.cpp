@@ -211,7 +211,7 @@ std::vector<GaussianProcess::Prediction> GaussianProcess::predict_batch(
 }
 
 std::vector<GaussianProcess::Prediction> score_candidate_pool(
-    const GaussianProcess& gp, const linalg::Matrix& pool, std::size_t max_workers) {
+    const GaussianProcess& gp, const linalg::Matrix& pool) {
     const std::size_t n = gp.size();
     const std::size_t candidates = pool.rows();
     const std::size_t dims = pool.cols();
@@ -237,8 +237,7 @@ std::vector<GaussianProcess::Prediction> score_candidate_pool(
                 for (std::size_t k = 0; k < dims; ++k) dst[k] = src[k];
             }
             return gp.predict_batch(block);
-        },
-        support::ParallelOptions{.max_workers = max_workers});
+        });
     std::vector<GaussianProcess::Prediction> preds;
     preds.reserve(candidates);
     for (auto& block : chunked) preds.insert(preds.end(), block.begin(), block.end());

@@ -94,13 +94,12 @@ private:
 /// Scores a candidate pool against a fitted GP — the constant-liar hot
 /// path. Small pools run one blocked predict_batch pass; pools with
 /// enough work (n^2 * C) are chunked across support::global_pool() with
-/// parallel_map (`max_workers` caps the tasks in flight; 0 = one per
-/// pool worker). Per-candidate results are independent, so chunking and
-/// thread count change nothing: entry i is always bitwise identical to
-/// gp.predict(pool.row(i)).
+/// parallel_map, which nests safely inside a pool task (a busy pool
+/// degrades it to serial). Per-candidate results are independent, so
+/// chunking and thread count change nothing: entry i is always bitwise
+/// identical to gp.predict(pool.row(i)).
 [[nodiscard]] std::vector<GaussianProcess::Prediction> score_candidate_pool(
-    const GaussianProcess& gp, const linalg::Matrix& pool,
-    std::size_t max_workers = 0);
+    const GaussianProcess& gp, const linalg::Matrix& pool);
 
 struct BayesConfig {
     std::size_t dims = 4;

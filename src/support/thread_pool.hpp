@@ -1,10 +1,12 @@
-// Fixed-size thread pool with futures and a parallel_for helper.
+// Fixed-size thread pool with one fan-out primitive, parallel_map.
 //
-// Used for the embarrassingly parallel parts of the benchmark harness:
-// running the seven Figure-4 experiments concurrently, sweeping solver
-// seeds, and batch-rendering synthetic camera frames. Work distribution
-// for parallel_for is block-cyclic to keep load balanced when item costs
-// vary (the OpenMP "schedule(static, chunk)" idiom).
+// Runs the embarrassingly parallel parts of the benchmark: the cells of
+// a campaign grid (campaign/runner.hpp), the seven Figure-4 experiments
+// and the other bench sweeps, and the chunked GP candidate scoring
+// (solver/bayes.hpp), which nests inside campaign cells. parallel_map is
+// caller-drains: the calling thread claims items itself and never blocks
+// on a queued helper, so it completes even when every worker is busy —
+// nesting degrades to serial instead of deadlocking.
 //
 // All shared state is guarded by an annotated support::Mutex
 // (mutex.hpp), so the lock/state relationships below are checked by
@@ -24,18 +26,6 @@
 #include "support/thread_annotations.hpp"
 
 namespace sdl::support {
-
-/// Tuning knobs for the hinted parallel_map overload.
-struct ParallelOptions {
-    /// Upper bound on tasks in flight (capped at the pool size);
-    /// 0 = one per pool worker. Lets a caller leave headroom for other
-    /// work sharing the pool.
-    std::size_t max_workers = 0;
-    /// Indices each worker claims per grab. 1 (the default) balances
-    /// best when item costs vary; larger chunks amortize dispatch for
-    /// many cheap items.
-    std::size_t chunk = 1;
-};
 
 class ThreadPool {
 public:
@@ -67,32 +57,10 @@ public:
         return result;
     }
 
-    /// Runs fn(i) for i in [0, n), partitioned across the pool, and blocks
-    /// until all iterations finish. Exceptions from any iteration are
-    /// rethrown (first one wins).
-    void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-    /// Maps fn(i) over [0, n) and collects results in order.
-    template <typename F>
-    auto parallel_map(std::size_t n, F&& fn)
-        -> std::vector<std::invoke_result_t<F, std::size_t>> {
-        using R = std::invoke_result_t<F, std::size_t>;
-        std::vector<std::future<R>> futures;
-        futures.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            futures.push_back(submit([&fn, i] { return fn(i); }));
-        }
-        std::vector<R> out;
-        out.reserve(n);
-        for (auto& f : futures) out.push_back(f.get());
-        return out;
-    }
-
-    /// parallel_map with an explicit concurrency cap and chunk hint.
-    /// Unlike the overload above (one queued task per item), this one
-    /// enqueues at most `max_workers` drain tasks that claim `chunk`
-    /// indices at a time. Results keep index order; the first exception
-    /// from any item is rethrown after all active workers stop.
+    /// Maps fn(i) over [0, n) and returns the results in index order.
+    /// Items are claimed one at a time by the calling thread and up to
+    /// size() - 1 helper drains queued on the pool; the first exception
+    /// from any item is rethrown after every started drain has stopped.
     ///
     /// Safe under nesting: the calling thread drains work itself, and it
     /// never blocks on queued helper tasks — only on drains that actually
@@ -100,16 +68,12 @@ public:
     /// return against heap-owned state, so they cannot touch a dead
     /// frame even if they run after this call returned.
     template <typename F>
-    auto parallel_map(std::size_t n, F&& fn, const ParallelOptions& options)
+    auto parallel_map(std::size_t n, F&& fn)
         -> std::vector<std::invoke_result_t<F, std::size_t>> {
         using R = std::invoke_result_t<F, std::size_t>;
         if (n == 0) return {};
 
-        const std::size_t chunk = options.chunk == 0 ? 1 : options.chunk;
-        std::size_t workers =
-            options.max_workers == 0 ? size() : std::min(options.max_workers, size());
-        workers = std::min(workers, (n + chunk - 1) / chunk);
-        if (workers == 0) workers = 1;
+        const std::size_t workers = std::min(n, size());
 
         struct State {
             explicit State(std::size_t count) : slots(count), n(count) {}
@@ -131,7 +95,7 @@ public:
         // `fn` is captured by reference: a drain only reaches it while
         // unclaimed work remains, and the caller cannot leave before all
         // work is claimed (or failed) and every active drain has exited.
-        auto drain_loop = [state, &fn, chunk] {
+        auto drain_loop = [state, &fn] {
             {
                 MutexLock lock(state->mutex);
                 ++state->active_drains;
@@ -139,26 +103,19 @@ public:
             std::size_t completed_here = 0;
             for (;;) {
                 if (state->failed.load(std::memory_order_relaxed)) break;
-                const std::size_t begin =
-                    state->next.fetch_add(chunk, std::memory_order_relaxed);
-                if (begin >= state->n) break;
-                const std::size_t end = std::min(state->n, begin + chunk);
-                bool threw = false;
-                for (std::size_t i = begin; i < end; ++i) {
-                    try {
-                        state->slots[i].emplace(fn(i));
-                        ++completed_here;
-                    } catch (...) {
-                        MutexLock lock(state->mutex);
-                        if (!state->first_error) {
-                            state->first_error = std::current_exception();
-                        }
-                        state->failed.store(true, std::memory_order_relaxed);
-                        threw = true;
-                        break;
+                const std::size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= state->n) break;
+                try {
+                    state->slots[i].emplace(fn(i));
+                    ++completed_here;
+                } catch (...) {
+                    MutexLock lock(state->mutex);
+                    if (!state->first_error) {
+                        state->first_error = std::current_exception();
                     }
+                    state->failed.store(true, std::memory_order_relaxed);
+                    break;
                 }
-                if (threw) break;
             }
             MutexLock lock(state->mutex);
             state->items_done += completed_here;
@@ -196,10 +153,11 @@ private:
     bool stopping_ SDL_GUARDED_BY(mutex_) = false;
 };
 
-/// Parses an SDLBENCH_WORKERS-style value: a positive integer is a pool
-/// size, null/empty/0/garbage mean "default" (returns 0, i.e. hardware
-/// concurrency) — garbage is logged as a warning rather than thrown,
-/// because this runs inside global_pool()'s lazy static initializer.
+/// Parses an SDLBENCH_WORKERS-style value: an integer in [1, 4096] is a
+/// pool size; null/empty/0, garbage and anything larger mean "default"
+/// (returns 0, i.e. hardware concurrency) — garbage is logged as a
+/// warning rather than thrown, because this runs inside global_pool()'s
+/// lazy static initializer.
 [[nodiscard]] std::size_t pool_size_from_env(const char* value) noexcept;
 
 /// Process-wide pool for benchmark harnesses (lazily constructed). The

@@ -146,9 +146,7 @@ TEST(Campaign, PerReplicateSeedsArePairedAcrossTheGrid) {
 TEST(Campaign, SameSpecTwiceGivesByteIdenticalResults) {
     support::set_log_level(support::LogLevel::Error);
     const CampaignSpec spec = tiny_spec();
-    CampaignRunnerOptions options;
-    options.log_progress = false;
-    const CampaignRunner runner(options);
+    const CampaignRunner runner;
     const auto first = runner.run(spec);
     const auto second = runner.run(spec);
     ASSERT_EQ(first.size(), second.size());
@@ -162,16 +160,19 @@ TEST(Campaign, SameSpecTwiceGivesByteIdenticalResults) {
 TEST(Campaign, ThreadCountInvariantByteIdenticalResults) {
     // The reproducibility contract's thread-count half: the same spec
     // must serialize byte-identically whether cells run one at a time
-    // or fan out across every core. The bayesian cell routes the whole
-    // GP/linalg stack through the worker pool.
+    // or fan out across every core. Cells run on the pool passed in;
+    // the bayesian cell's GP candidate scoring nests on global_pool().
+    // N = 40 takes the GP past n = 23 training points, where scoring
+    // 512 candidates crosses the chunked threshold (n^2 * 512 >= 2^18),
+    // so the nested parallel_map genuinely runs inside a pool task.
     support::set_log_level(support::LogLevel::Error);
     CampaignSpec spec = tiny_spec();
+    spec.base.total_samples = 40;
+    spec.base.batch_size = 4;
     spec.axes.solvers = {"bayesian", "random"};
     std::string reference;
     const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    CampaignRunnerOptions options;
-    options.log_progress = false;
-    const CampaignRunner runner(options);
+    const CampaignRunner runner;
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, hw}) {
         support::ThreadPool pool(workers);
         const auto results = runner.run(spec, pool);
@@ -222,9 +223,7 @@ TEST(Campaign, ResultJsonCarriesTheSharedSchema) {
     support::set_log_level(support::LogLevel::Error);
     CampaignSpec spec = tiny_spec();
     spec.axes.solvers = {"random"};
-    CampaignRunnerOptions options;
-    options.log_progress = false;
-    const auto results = CampaignRunner(options).run(spec);
+    const auto results = CampaignRunner().run(spec);
     ASSERT_EQ(results.size(), 1u);
 
     const auto cell_doc = experiment_result_to_json(results[0].cell.config,

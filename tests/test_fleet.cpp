@@ -279,6 +279,10 @@ TEST(PoolSizeFromEnvTest, ParsesPositiveIntegersOnly) {
     EXPECT_EQ(support::pool_size_from_env("0"), 0u);       // 0 means default
     EXPECT_EQ(support::pool_size_from_env("1"), 1u);
     EXPECT_EQ(support::pool_size_from_env("16"), 16u);
+    EXPECT_EQ(support::pool_size_from_env("4096"), 4096u);  // the bound itself
+    EXPECT_EQ(support::pool_size_from_env("4097"), 0u);     // just past it
+    EXPECT_EQ(support::pool_size_from_env("5000"), 0u);
+    EXPECT_EQ(support::pool_size_from_env("40960"), 0u);
     EXPECT_EQ(support::pool_size_from_env("two"), 0u);     // garbage: default
     EXPECT_EQ(support::pool_size_from_env("-3"), 0u);
     EXPECT_EQ(support::pool_size_from_env("4x"), 0u);

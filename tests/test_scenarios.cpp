@@ -420,9 +420,7 @@ TEST(Scenarios, ScenarioCampaignIsByteIdenticalAcrossRuns) {
     spec.axes.workcells = {"baseline", "degraded", "minimal"};
     spec.axes.solvers = {"random"};
 
-    campaign::CampaignRunnerOptions options;
-    options.log_progress = false;
-    const campaign::CampaignRunner runner(options);
+    const campaign::CampaignRunner runner;
     const auto first = runner.run(spec);
     const auto second = runner.run(spec);
     ASSERT_EQ(first.size(), 3u);

@@ -5,8 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
+#include <latch>
 #include <numbers>
-#include <thread>
 
 #include "color/mixing.hpp"
 #include "linalg/cholesky.hpp"
@@ -20,6 +21,7 @@
 #include "support/common.hpp"
 #include "support/random.hpp"
 #include "support/stats.hpp"
+#include "support/thread_pool.hpp"
 
 using namespace sdl::solver;
 using sdl::color::BeerLambertMixer;
@@ -469,8 +471,10 @@ TEST(GaussianProcess, PredictBatchValidatesShapes) {
 TEST(Bayes, ScoreCandidatePoolThreadCountInvariant) {
     // n and C sit past the parallel-dispatch threshold (n^2 * C =
     // 524288 >= 262144, C > 64), so the chunked path genuinely runs.
-    // The worker cap must change nothing: every entry carries the exact
-    // bits of sequential predict(), at any thread count.
+    // The bayes.hpp contract: entry i carries the exact bits of
+    // gp.predict(pool.row(i)) — on a free pool, and from inside tasks
+    // that occupy every global_pool() worker, where the nested
+    // parallel_map degrades to the calling thread alone.
     Rng rng(131);
     const std::size_t n = 64;
     std::vector<std::vector<double>> xs;
@@ -488,24 +492,28 @@ TEST(Bayes, ScoreCandidatePoolThreadCountInvariant) {
     for (std::size_t j = 0; j < pool.rows(); ++j)
         for (std::size_t k = 0; k < 4; ++k) pool(j, k) = rng.uniform();
 
-    const auto reference = score_candidate_pool(gp, pool, /*max_workers=*/1);
-    ASSERT_EQ(reference.size(), pool.rows());
-    for (std::size_t j = 0; j < pool.rows(); ++j) {
-        const auto seq = gp.predict(pool.row(j));
-        EXPECT_EQ(reference[j].mean, seq.mean) << "candidate " << j;
-        EXPECT_EQ(reference[j].variance, seq.variance) << "candidate " << j;
+    const auto expect_predict_bits =
+        [&](const std::vector<GaussianProcess::Prediction>& scored, const char* where) {
+            ASSERT_EQ(scored.size(), pool.rows()) << where;
+            for (std::size_t j = 0; j < scored.size(); ++j) {
+                const auto seq = gp.predict(pool.row(j));
+                EXPECT_EQ(scored[j].mean, seq.mean) << where << " candidate " << j;
+                EXPECT_EQ(scored[j].variance, seq.variance)
+                    << where << " candidate " << j;
+            }
+        };
+    expect_predict_bits(score_candidate_pool(gp, pool), "free pool");
+
+    sdl::support::ThreadPool& global = sdl::support::global_pool();
+    std::latch all_busy(static_cast<std::ptrdiff_t>(global.size()));
+    std::vector<std::future<std::vector<GaussianProcess::Prediction>>> nested;
+    for (std::size_t w = 0; w < global.size(); ++w) {
+        nested.push_back(global.submit([&] {
+            all_busy.arrive_and_wait();  // every worker is now inside a task
+            return score_candidate_pool(gp, pool);
+        }));
     }
-    const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    for (const std::size_t workers : {std::size_t{2}, hw, std::size_t{0}}) {
-        const auto scored = score_candidate_pool(gp, pool, workers);
-        ASSERT_EQ(scored.size(), reference.size()) << "workers=" << workers;
-        for (std::size_t j = 0; j < scored.size(); ++j) {
-            EXPECT_EQ(scored[j].mean, reference[j].mean)
-                << "workers=" << workers << " candidate " << j;
-            EXPECT_EQ(scored[j].variance, reference[j].variance)
-                << "workers=" << workers << " candidate " << j;
-        }
-    }
+    for (auto& scored : nested) expect_predict_bits(scored.get(), "saturated pool");
 }
 
 TEST(Bayes, SeedPairedRunsReproduceUnderBatching) {

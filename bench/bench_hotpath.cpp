@@ -1,28 +1,28 @@
 // Hot-path microbenchmark + perf trajectory recorder.
 //
-// Times the two costs that bound campaign scale — GP candidate scoring
-// (solver/bayes.hpp) and the per-frame vision pipeline (imaging/) — plus
-// closed-loop throughput per workcell scenario, and writes
-// BENCH_hotpath.json. CI compares that file against the committed
+// Times the two kernels that bound campaign scale — GP candidate scoring
+// (solver/bayes.hpp) and the per-frame vision pipeline (imaging/), with
+// a per-stage sheet — against the frozen PR-4 reference, and writes
+// BENCH_hotpath.json. End-to-end closed-loop timing lives in
+// campaignbench/. CI compares that file against the committed
 // baseline (bench/baselines/BENCH_hotpath.baseline.json) with
 // tools/bench_compare.py and fails the build on large regressions.
 //
 //   bench_hotpath [--quick]   # --quick: fewer reps for smoke use
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "core/colorpicker.hpp"
-#include "core/presets.hpp"
-#include "core/scenarios.hpp"
-#include "core/workcell_spec.hpp"
 #include "imaging/plate_render.hpp"
 #include "imaging/well_reader.hpp"
 #include "prepr_reference.hpp"
 #include "solver/bayes.hpp"
 #include "support/atomic_io.hpp"
+#include "support/common.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/random.hpp"
@@ -219,33 +219,6 @@ VisionStats bench_vision_paths(int reps) {
     return stats;
 }
 
-// ------------------------------------------------------------- full loop
-
-struct LoopRow {
-    std::string scenario;
-    double samples_per_sec = 0.0;
-    double batches_per_sec = 0.0;
-    double wall_seconds = 0.0;
-};
-
-LoopRow bench_loop(const std::string& scenario_name, int total_samples, int batch) {
-    core::ColorPickerConfig config = core::preset_quickstart(21);
-    config.total_samples = total_samples;
-    config.batch_size = batch;
-    config = core::apply_workcell_spec(config, core::scenario_by_name(scenario_name));
-    config.experiment_id = "hotpath_" + scenario_name;
-    const double t0 = now_seconds();
-    core::ColorPickerApp app(config);
-    const auto outcome = app.run();
-    const double wall = now_seconds() - t0;
-    LoopRow row;
-    row.scenario = scenario_name;
-    row.wall_seconds = wall;
-    row.samples_per_sec = wall > 0.0 ? static_cast<double>(outcome.samples.size()) / wall : 0.0;
-    row.batches_per_sec = wall > 0.0 ? static_cast<double>(outcome.batches_run) / wall : 0.0;
-    return row;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -253,10 +226,9 @@ int main(int argc, char** argv) {
     const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
     const int gp_reps = quick ? 3 : 20;
     const int vision_reps = quick ? 2 : 10;
-    const int loop_samples = quick ? 8 : 24;
 
     std::printf("================================================================\n");
-    std::printf("Hot-path bench — GP candidate scoring, vision pipeline, loop\n");
+    std::printf("Hot-path bench — GP candidate scoring, vision pipeline\n");
     std::printf("================================================================\n");
 
     // GP scoring across training-set and pool sizes.
@@ -301,26 +273,6 @@ int main(int argc, char** argv) {
                 vision.to_gray_ns / 1e6, vision.blur_ns / 1e6, vision.adaptive_ns / 1e6,
                 vision.detect_markers_ns / 1e6, vision.hough_roi_ns / 1e6);
 
-    // Closed loop per scenario.
-    std::printf("\n[Closed loop] samples/sec by workcell scenario (N=%d, B=4):\n",
-                loop_samples);
-    std::vector<LoopRow> loop_rows;
-    {
-        support::TextTable table({"Scenario", "Wall s", "Samples/s", "Batches/s"});
-        table.set_alignment({support::TextTable::Align::Left,
-                             support::TextTable::Align::Right,
-                             support::TextTable::Align::Right,
-                             support::TextTable::Align::Right});
-        for (const std::string& name : core::scenario_names()) {
-            const LoopRow row = bench_loop(name, loop_samples, 4);
-            loop_rows.push_back(row);
-            table.add_row({row.scenario, support::fmt_double(row.wall_seconds, 2),
-                           support::fmt_double(row.samples_per_sec, 1),
-                           support::fmt_double(row.batches_per_sec, 1)});
-        }
-        std::printf("%s", table.str().c_str());
-    }
-
     // The perf trajectory file.
     json::Value bench = json::Value::object();
     bench.set("schema", "sdlbench.bench_hotpath.v1");
@@ -355,15 +307,6 @@ int main(int argc, char** argv) {
     stages.set("hough_roi_ns", vision.hough_roi_ns);
     vis.set("stages", std::move(stages));
     bench.set("vision", std::move(vis));
-    json::Value loop = json::Value::array();
-    for (const LoopRow& row : loop_rows) {
-        json::Value entry = json::Value::object();
-        entry.set("scenario", row.scenario);
-        entry.set("samples_per_sec", row.samples_per_sec);
-        entry.set("batches_per_sec", row.batches_per_sec);
-        loop.push_back(std::move(entry));
-    }
-    bench.set("loop", std::move(loop));
     try {
         support::atomic_write("BENCH_hotpath.json", bench.pretty() + "\n");
     } catch (const support::Error& error) {

@@ -241,6 +241,16 @@ void CheckpointJournal::append(const CellResult& result) {
     writer_.append_line(cell_record_to_json(result).dump());
 }
 
+void write_fused_journal(const std::string& out_dir, const CampaignSpec& spec,
+                         std::size_t cells_total, const std::vector<CellResult>& results) {
+    std::string text = journal_header(spec, cells_total, Shard{}).dump() + "\n";
+    for (const CellResult& result : results) {
+        text += cell_record_to_json(result).dump();
+        text += '\n';
+    }
+    support::atomic_write(journal_path(out_dir), text);
+}
+
 // ------------------------------------------------------------------ load
 
 namespace {

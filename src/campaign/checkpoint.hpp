@@ -95,6 +95,13 @@ private:
     support::AppendWriter writer_;
 };
 
+/// Atomically writes <out_dir>/cells.jsonl as one whole-grid (1/1)
+/// journal: the header, then one record per result in the given order.
+/// This is the fused journal that makes a merged or fleet output
+/// directory itself resumable and re-mergeable.
+void write_fused_journal(const std::string& out_dir, const CampaignSpec& spec,
+                         std::size_t cells_total, const std::vector<CellResult>& results);
+
 /// A validated journal, ready to resume from or merge.
 struct LoadedJournal {
     Shard shard;

@@ -9,8 +9,9 @@
 // classic longest-processing-time (LPT) greedy, which is within 4/3 of
 // the optimal makespan on identical workers.
 //
-// The model is deliberately coarse — relative units tuned from
-// bench_campaign's measured per-cell wall times, not a prediction — and
+// The model is deliberately coarse — relative units tuned from measured
+// per-cell host wall times (each journal record's `wall_seconds`, the
+// cells campaignbench times), not a prediction — and
 // only its *ordering* matters. Execution order is decoupled from result
 // order everywhere (results stay in grid order), so the model can be
 // retuned freely without touching any byte-identity contract.

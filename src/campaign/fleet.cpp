@@ -495,12 +495,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     std::vector<CellResult> final_results = coord.results();
     std::vector<QuarantinedCell> quarantined_cells = coord.quarantined();
     write_campaign_outputs(out_dir, spec, final_results, quarantined_cells);
-    std::string journal_text = journal_header(spec, grid.size(), Shard{}).dump() + "\n";
-    for (const CellResult& result : final_results) {
-        journal_text += cell_record_to_json(result).dump();
-        journal_text += '\n';
-    }
-    support::atomic_write(journal_path(out_dir), journal_text);
+    write_fused_journal(out_dir, spec, grid.size(), final_results);
 
     for (Proc& p : procs) {
         if (!p.alive) continue;

@@ -22,7 +22,8 @@
 namespace sdl::campaign {
 
 /// One executed cell. `wall_seconds` is host time (excluded from the
-/// deterministic result JSON; bench_campaign reports it separately).
+/// deterministic result JSON; the journal records it and campaignbench
+/// reports its median as `cell_s_p50`).
 struct CellResult {
     CampaignCell cell;
     core::ExperimentOutcome outcome;

@@ -50,7 +50,7 @@ std::size_t pool_size_from_env(const char* value) noexcept {
         if (digit) parsed = parsed * 10 + static_cast<std::size_t>(*p - '0');
         // The bound is checked after each digit is appended, so no value
         // above it is accepted and the next multiply cannot overflow.
-        if (!digit || parsed > 4096) {
+        if (!digit || parsed > kMaxPoolSize) {
             log_warn("support", "ignoring SDLBENCH_WORKERS='", value,
                      "' (expected a positive integer)");
             return 0;

@@ -153,11 +153,15 @@ private:
     bool stopping_ SDL_GUARDED_BY(mutex_) = false;
 };
 
-/// Parses an SDLBENCH_WORKERS-style value: an integer in [1, 4096] is a
-/// pool size; null/empty/0, garbage and anything larger mean "default"
-/// (returns 0, i.e. hardware concurrency) — garbage is logged as a
-/// warning rather than thrown, because this runs inside global_pool()'s
-/// lazy static initializer.
+/// Largest pool size SDLBENCH_WORKERS (and sdlbench_fleet's
+/// --worker-threads, which sets it) may ask for.
+inline constexpr std::size_t kMaxPoolSize = 4096;
+
+/// Parses an SDLBENCH_WORKERS-style value: an integer in
+/// [1, kMaxPoolSize] is a pool size; null/empty/0, garbage and anything
+/// larger mean "default" (returns 0, i.e. hardware concurrency) —
+/// garbage is logged as a warning rather than thrown, because this runs
+/// inside global_pool()'s lazy static initializer.
 [[nodiscard]] std::size_t pool_size_from_env(const char* value) noexcept;
 
 /// Process-wide pool for benchmark harnesses (lazily constructed). The

@@ -28,6 +28,7 @@
 #include "campaign/fleet.hpp"
 #include "support/failpoint.hpp"
 #include "support/log.hpp"
+#include "support/thread_pool.hpp"
 
 using namespace sdl;
 
@@ -181,8 +182,10 @@ int main(int argc, char** argv) {
             }
         } else if (*it == "--worker-threads") {
             if (!take_value("--worker-threads", text)) return 2;
-            if (!parse_size(text, options.worker_threads)) {
-                std::fprintf(stderr, "error: --worker-threads needs an integer\n");
+            if (!parse_size(text, options.worker_threads) ||
+                options.worker_threads > support::kMaxPoolSize) {
+                std::fprintf(stderr, "error: --worker-threads needs an integer in [0, %zu]\n",
+                             support::kMaxPoolSize);
                 return 2;
             }
         } else if (*it == "--worker-failpoints") {

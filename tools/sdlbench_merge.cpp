@@ -19,7 +19,6 @@
 #include "campaign/campaign_io.hpp"
 #include "campaign/checkpoint.hpp"
 #include "campaign/report.hpp"
-#include "support/atomic_io.hpp"
 
 using namespace sdl;
 
@@ -73,16 +72,7 @@ int main(int argc, char** argv) {
                     results.size(), spec.name.c_str());
 
         campaign::write_campaign_outputs(out_dir, spec, results);
-        // Rewrite the fused journal as a whole-grid (1/1) journal so the
-        // merged directory can itself be resumed or re-merged.
-        std::string journal_text =
-            campaign::journal_header(spec, results.size(), campaign::Shard{}).dump() +
-            "\n";
-        for (const campaign::CellResult& result : results) {
-            journal_text += campaign::cell_record_to_json(result).dump();
-            journal_text += '\n';
-        }
-        support::atomic_write(campaign::journal_path(out_dir), journal_text);
+        campaign::write_fused_journal(out_dir, spec, results.size(), results);
         std::printf("Wrote %s/{campaign.json, campaign.csv, cells.jsonl}.\n",
                     out_dir.c_str());
         return 0;

@@ -9,7 +9,9 @@
 // values all throw):
 //   campaign:  -> campaign_from_file + expand_grid (also resolves every
 //                 grid.workcells scenario reference and generates ids)
-//   devices:   -> core::workcell_spec_from_yaml
+//   devices:   -> core::workcell_spec_from_yaml; a file whose
+//                 workcell.name is a built-in scenario must also
+//                 serialize identically to core::scenario_by_name
 //   otherwise  -> core::config_from_file (experiment file; resolves a
 //                 workcell.scenario reference too)
 //
@@ -26,6 +28,7 @@
 
 #include "campaign/campaign_io.hpp"
 #include "core/config_io.hpp"
+#include "core/scenarios.hpp"
 #include "core/workcell_spec.hpp"
 #include "support/yaml.hpp"
 
@@ -42,6 +45,27 @@ std::string read_file(const fs::path& path) {
     return buffer.str();
 }
 
+/// Throws unless `spec` serializes exactly like the registry scenario
+/// of the same name, naming the first line that differs.
+void check_mirrors_registry(const core::WorkcellSpec& spec) {
+    std::istringstream file_yaml(core::workcell_spec_to_yaml(spec));
+    std::istringstream registry_yaml(
+        core::workcell_spec_to_yaml(core::scenario_by_name(spec.name)));
+    std::string file_line;
+    std::string registry_line;
+    while (true) {
+        const bool file_more = static_cast<bool>(std::getline(file_yaml, file_line));
+        const bool registry_more =
+            static_cast<bool>(std::getline(registry_yaml, registry_line));
+        if (!file_more && !registry_more) return;
+        if (file_more != registry_more || file_line != registry_line) {
+            throw std::runtime_error("differs from built-in scenario '" + spec.name +
+                                     "': file has '" + file_line + "', registry has '" +
+                                     registry_line + "'");
+        }
+    }
+}
+
 /// Returns the kind of spec validated ("campaign", "workcell",
 /// "experiment"); throws on any schema violation.
 std::string validate_one(const fs::path& path) {
@@ -56,7 +80,12 @@ std::string validate_one(const fs::path& path) {
         return "campaign";
     }
     if (doc.is_object() && doc.contains("devices")) {
-        (void)core::workcell_spec_from_yaml(text);
+        const core::WorkcellSpec spec = core::workcell_spec_from_yaml(text);
+        // A workcell file named after a built-in scenario is a mirror of
+        // it (examples/scenarios/): hold it to that, field for field.
+        if (core::is_scenario_name(spec.name)) {
+            check_mirrors_registry(spec);
+        }
         return "workcell";
     }
     (void)core::config_from_file(path.string());

@@ -2,11 +2,13 @@
 //
 // The paper implements a genetic and a Bayesian solver and reports that
 // Bayesian optimization "does not yield a systematic improvement over the
-// genetic algorithm". This harness runs both (plus random search and the
-// analytic oracle) through the *full* closed loop — robots, camera,
-// vision — across several seeds and reports the final best score per
-// solver. The oracle row is the workcell's noise floor: no optimizer can
-// beat it, because it always mixes the analytically exact recipe.
+// genetic algorithm". This harness runs both (plus anneal, pattern
+// search, random search and the analytic oracle) through the *full*
+// closed loop — robots, camera, vision — over 16 seeds and reports each
+// solver's final best score with its standard error, so two solvers (or
+// two builds of one) can be compared at the replicate spread. The oracle
+// row is the workcell's noise floor: no optimizer can beat it, because
+// it always mixes the analytically exact recipe.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -27,12 +29,13 @@ int main() {
     support::set_log_level(support::LogLevel::Error);
     std::printf("================================================================\n");
     std::printf("Ablation A1 — solver comparison on the full closed loop\n");
-    std::printf("  N=64 samples, B=8, target rgb(120,120,120), 4 seeds each\n");
+    std::printf("  N=64 samples, B=8, target rgb(120,120,120), 16 seeds each\n");
     std::printf("================================================================\n\n");
 
     const std::vector<std::string> solvers{"genetic", "bayesian", "anneal",
                                            "pattern",  "random",  "oracle"};
-    constexpr std::uint64_t kSeeds[] = {1, 2, 3, 4};
+    constexpr std::uint64_t kSeeds[] = {1, 2,  3,  4,  5,  6,  7,  8,
+                                        9, 10, 11, 12, 13, 14, 15, 16};
 
     struct Job {
         std::string solver;
@@ -55,11 +58,11 @@ int main() {
             return app.run();
         });
 
-    support::TextTable table(
-        {"Solver", "Final best (mean±sd)", "Min", "Max", "Best @32 (mean)"});
+    support::TextTable table({"Solver", "Final best (mean±sd)", "SE", "Min", "Max",
+                              "Best @32 (mean)"});
     table.set_alignment({support::TextTable::Align::Left, support::TextTable::Align::Right,
                          support::TextTable::Align::Right, support::TextTable::Align::Right,
-                         support::TextTable::Align::Right});
+                         support::TextTable::Align::Right, support::TextTable::Align::Right});
     for (std::size_t s = 0; s < solvers.size(); ++s) {
         support::OnlineStats finals, at32;
         for (std::size_t k = 0; k < std::size(kSeeds); ++k) {
@@ -72,6 +75,9 @@ int main() {
         table.add_row({solvers[s],
                        support::fmt_double(finals.mean(), 2) + " ± " +
                            support::fmt_double(finals.stddev(), 2),
+                       support::fmt_double(
+                           finals.stddev() / std::sqrt(static_cast<double>(finals.count())),
+                           2),
                        support::fmt_double(finals.min(), 2),
                        support::fmt_double(finals.max(), 2),
                        support::fmt_double(at32.mean(), 2)});

@@ -2,8 +2,9 @@
 // paths.
 //
 // The GP cross-kernel assembly evaluates exp() once per (training point,
-// candidate) pair — O(n·C) calls per constant-liar pick — and libm's exp
-// dominates that loop on machines without vector math libraries. This
+// candidate) pair — O(n·C) calls to score a Bayesian batch's candidate
+// pool, plus C per constant-liar lie — and libm's exp dominates that
+// loop on machines without vector math libraries. This
 // header provides a Cephes-style rational approximation whose scalar and
 // array forms run the exact same operations per element, so callers can
 // mix them freely without breaking bitwise-identity contracts, and whose

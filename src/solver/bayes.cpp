@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <type_traits>
 
 #include "linalg/fastmath.hpp"
 #include "linalg/matrix.hpp"
@@ -82,7 +83,7 @@ double GaussianProcess::log_marginal_likelihood(const Hyperparams& p) const {
     return lml_terms(chol, chol.solve(ys_std_));
 }
 
-void GaussianProcess::observe(std::vector<double> x, double y) {
+bool GaussianProcess::observe(std::vector<double> x, double y) {
     support::check(fitted() && chol_ != nullptr, "GP observe before fit");
     support::check(x.size() == xs_.front().size(), "GP observe: dimension mismatch");
     const std::size_t n = xs_.size();
@@ -99,9 +100,10 @@ void GaussianProcess::observe(std::vector<double> x, double y) {
         // Pathological geometry (e.g. an exact duplicate with negligible
         // noise): fall back to the jittered full refit.
         factorize(params_);
-        return;
+        return false;
     }
     alpha_ = chol_->solve(ys_std_);
+    return true;
 }
 
 void GaussianProcess::fit(std::vector<std::vector<double>> xs, std::vector<double> ys,
@@ -164,6 +166,22 @@ void GaussianProcess::fit(std::vector<std::vector<double>> xs, std::vector<doubl
     params_ = best;
 }
 
+linalg::Matrix GaussianProcess::cross_kernel(const linalg::Matrix& x) const {
+    // One cross_sq_dist plus one RBF map. Each entry carries kernel()'s
+    // bits (same -0.5*d2/(l*l) argument, same fast_exp via its array
+    // form, same signal-variance scale).
+    linalg::Matrix kx = linalg::cross_sq_dist(train_matrix(), x);
+    linalg::rbf_from_sq_dist(kx, params_.signal_var, params_.lengthscale);
+    return kx;
+}
+
+GaussianProcess::Prediction GaussianProcess::unstandardize(double mean_std,
+                                                           double sq_norm) const noexcept {
+    double var_std = params_.signal_var + params_.noise_var - sq_norm;
+    if (var_std < 1e-12) var_std = 1e-12;
+    return {mean_std * y_scale_ + y_mean_, var_std * y_scale_ * y_scale_};
+}
+
 GaussianProcess::Prediction GaussianProcess::predict(std::span<const double> x) const {
     support::check(fitted(), "GP predict before fit");
     const std::size_t n = xs_.size();
@@ -172,10 +190,7 @@ GaussianProcess::Prediction GaussianProcess::predict(std::span<const double> x) 
 
     const double mean_std = linalg::dot(kx, alpha_);
     const linalg::Vec v = chol_->solve_lower(kx);
-    double var_std = params_.signal_var + params_.noise_var - linalg::dot(v, v);
-    if (var_std < 1e-12) var_std = 1e-12;
-
-    return {mean_std * y_scale_ + y_mean_, var_std * y_scale_ * y_scale_};
+    return unstandardize(mean_std, linalg::dot(v, v));
 }
 
 std::vector<GaussianProcess::Prediction> GaussianProcess::predict_batch(
@@ -187,61 +202,151 @@ std::vector<GaussianProcess::Prediction> GaussianProcess::predict_batch(
     std::vector<Prediction> out(m);
     if (m == 0) return out;
 
-    const linalg::Matrix train = train_matrix();
-
-    // Cross-kernel matrix, column j = k(train, x_j): one cross_sq_dist
-    // plus one RBF map. Each entry carries kernel()'s bits (same
-    // -0.5*d2/(l*l) argument, same fast_exp via its array form, same
-    // signal-variance scale).
-    linalg::Matrix kx = linalg::cross_sq_dist(train, x);
-    linalg::rbf_from_sq_dist(kx, params_.signal_var, params_.lengthscale);
-
-    // One fused sweep: multi-RHS forward substitution plus the mean and
-    // |L^-1 k_*|^2 reductions.
+    // Column j = k(train, x_j); one fused sweep then runs the multi-RHS
+    // forward substitution plus the mean and |L^-1 k_*|^2 reductions.
+    linalg::Matrix kx = cross_kernel(x);
     linalg::Vec mean_std(m);
     linalg::Vec sq_norm(m);
     chol_->solve_lower_multi_fused(kx, alpha_, mean_std, sq_norm);
-
-    for (std::size_t j = 0; j < m; ++j) {
-        double var_std = params_.signal_var + params_.noise_var - sq_norm[j];
-        if (var_std < 1e-12) var_std = 1e-12;
-        out[j] = {mean_std[j] * y_scale_ + y_mean_, var_std * y_scale_ * y_scale_};
-    }
+    for (std::size_t j = 0; j < m; ++j) out[j] = unstandardize(mean_std[j], sq_norm[j]);
     return out;
 }
 
-std::vector<GaussianProcess::Prediction> score_candidate_pool(
-    const GaussianProcess& gp, const linalg::Matrix& pool) {
-    const std::size_t n = gp.size();
+namespace {
+
+// Below this n^2 * C work estimate one blocked pass beats the dispatch
+// overhead; above it the pool splits into row chunks (each still a
+// blocked multi-RHS pass). 2^18 puts the paper-scale case (n = 64,
+// C = 256) on the parallel side.
+constexpr std::size_t kParallelWork = 262'144;
+constexpr std::size_t kChunk = 64;
+
+/// Runs `score` over the rows of `pool` against a GP of n points: one
+/// call on the whole pool, or, with enough work, one call per 64-row
+/// chunk across support::global_pool(). Results come back in row order.
+template <typename Score>
+auto map_pool_chunks(std::size_t n, const linalg::Matrix& pool, Score&& score) {
+    using Result = std::invoke_result_t<Score&, const linalg::Matrix&>;
     const std::size_t candidates = pool.rows();
     const std::size_t dims = pool.cols();
-    // Below this n^2 * C work estimate one blocked pass beats the
-    // dispatch overhead; above it the pool splits into row chunks (each
-    // still a blocked multi-RHS pass). 2^18 puts the paper-scale case
-    // (n = 64, C = 256) on the parallel side.
-    constexpr std::size_t kParallelWork = 262'144;
-    constexpr std::size_t kChunk = 64;
     if (candidates <= kChunk || n * n * candidates < kParallelWork) {
-        return gp.predict_batch(pool);
+        std::vector<Result> whole;
+        whole.push_back(score(pool));
+        return whole;
     }
     const std::size_t chunks = (candidates + kChunk - 1) / kChunk;
-    auto chunked = support::global_pool().parallel_map(
-        chunks,
-        [&](std::size_t chunk_index) {
-            const std::size_t begin = chunk_index * kChunk;
-            const std::size_t end = std::min(candidates, begin + kChunk);
-            linalg::Matrix block(end - begin, dims);
-            for (std::size_t c = begin; c < end; ++c) {
-                const std::span<const double> src = pool.row(c);
-                const std::span<double> dst = block.row(c - begin);
-                for (std::size_t k = 0; k < dims; ++k) dst[k] = src[k];
-            }
-            return gp.predict_batch(block);
-        });
+    return support::global_pool().parallel_map(chunks, [&](std::size_t chunk_index) {
+        const std::size_t begin = chunk_index * kChunk;
+        const std::size_t end = std::min(candidates, begin + kChunk);
+        linalg::Matrix block(end - begin, dims);
+        for (std::size_t c = begin; c < end; ++c) {
+            const std::span<const double> src = pool.row(c);
+            const std::span<double> dst = block.row(c - begin);
+            for (std::size_t k = 0; k < dims; ++k) dst[k] = src[k];
+        }
+        return score(block);
+    });
+}
+
+}  // namespace
+
+std::vector<GaussianProcess::Prediction> score_candidate_pool(
+    const GaussianProcess& gp, const linalg::Matrix& pool) {
+    auto chunked = map_pool_chunks(
+        gp.size(), pool, [&](const linalg::Matrix& block) { return gp.predict_batch(block); });
     std::vector<GaussianProcess::Prediction> preds;
-    preds.reserve(candidates);
+    preds.reserve(pool.rows());
     for (auto& block : chunked) preds.insert(preds.end(), block.begin(), block.end());
     return preds;
+}
+
+// ---------------------------------------------------------- PoolPosterior
+
+PoolPosterior::PoolPosterior(const GaussianProcess& gp, linalg::Matrix pool)
+    : gp_(&gp), pool_(std::move(pool)) {
+    support::check(gp.fitted(), "GP predict before fit");
+    support::check(pool_.cols() == gp.xs_.front().size(),
+                   "PoolPosterior: dimension mismatch");
+    rescore();
+}
+
+void PoolPosterior::rescore() {
+    const GaussianProcess& gp = *gp_;
+    n_ = gp.size();
+    const std::size_t m = pool_.rows();
+    struct Block {
+        linalg::Matrix k;
+        linalg::Matrix v;
+        linalg::Vec mean_std;
+        linalg::Vec sq_norm;
+    };
+    const auto blocks = map_pool_chunks(n_, pool_, [&](const linalg::Matrix& x) {
+        Block b{gp.cross_kernel(x), {}, linalg::Vec(x.rows()), linalg::Vec(x.rows())};
+        b.v = b.k;
+        gp.chol_->solve_lower_multi_fused(b.v, gp.alpha_, b.mean_std, b.sq_norm);
+        return b;
+    });
+    k_.assign(n_ * m, 0.0);
+    v_.assign(n_ * m, 0.0);
+    mean_std_.clear();
+    sq_norm_.clear();
+    for (const Block& b : blocks) {
+        const std::size_t col0 = mean_std_.size();
+        for (std::size_t i = 0; i < n_; ++i) {
+            std::copy_n(b.k.row(i).data(), b.k.cols(), k_.data() + i * m + col0);
+            std::copy_n(b.v.row(i).data(), b.v.cols(), v_.data() + i * m + col0);
+        }
+        mean_std_.insert(mean_std_.end(), b.mean_std.begin(), b.mean_std.end());
+        sq_norm_.insert(sq_norm_.end(), b.sq_norm.begin(), b.sq_norm.end());
+    }
+}
+
+void PoolPosterior::update(bool extended) {
+    const GaussianProcess& gp = *gp_;
+    if (!extended) {
+        rescore();
+        return;
+    }
+    support::check(gp.size() == n_ + 1, "PoolPosterior::update: one observe() per update");
+    const std::size_t m = pool_.rows();
+    const std::size_t n = n_;
+
+    // Row n of the extended GP's cross-kernel: the new point against the
+    // pool, with cross_kernel()'s bits.
+    const std::vector<double>& x = gp.xs_.back();
+    linalg::Matrix point(1, x.size());
+    std::copy(x.begin(), x.end(), point.row(0).begin());
+    linalg::Matrix k_row = linalg::cross_sq_dist(point, pool_);
+    linalg::rbf_from_sq_dist(k_row, gp.params_.signal_var, gp.params_.lengthscale);
+    k_.insert(k_.end(), k_row.row(0).begin(), k_row.row(0).end());
+
+    // v's new entry by the forward-solve recurrence against the factor's
+    // new row, subtracting in ascending k like the blocked sweep; the
+    // leading n entries are unchanged because extend() keeps L's leading
+    // block.
+    v_.insert(v_.end(), k_row.row(0).begin(), k_row.row(0).end());
+    const linalg::Matrix& l = gp.chol_->lower();
+    double* v_new = v_.data() + n * m;
+    for (std::size_t k = 0; k < n; ++k) {
+        const double lnk = l(n, k);
+        const double* v_k = v_.data() + k * m;
+        for (std::size_t j = 0; j < m; ++j) v_new[j] -= lnk * v_k[j];
+    }
+    const double lnn = l(n, n);
+    for (std::size_t j = 0; j < m; ++j) {
+        v_new[j] /= lnn;
+        sq_norm_[j] += v_new[j] * v_new[j];
+    }
+    n_ = n + 1;
+
+    // α changed everywhere: the mean is kᵀα again, accumulated in
+    // ascending i like the fused sweep.
+    std::fill(mean_std_.begin(), mean_std_.end(), 0.0);
+    for (std::size_t i = 0; i < n_; ++i) {
+        const double ai = gp.alpha_[i];
+        const double* k_i = k_.data() + i * m;
+        for (std::size_t j = 0; j < m; ++j) mean_std_[j] += k_i[j] * ai;
+    }
 }
 
 // ------------------------------------------------------------ BayesSolver
@@ -287,9 +392,6 @@ void BayesSolver::fill_candidate_pool(linalg::Matrix& pool) {
                 candidate[k] =
                     support::clamp(incumbent[k] + rng_.normal(0.0, 0.1), 0.0, 1.0);
             }
-            // The fallback draw happens here, pool-generation time, so the
-            // rng stream is identical to the pre-batching one-at-a-time
-            // flow and stays deterministic for seed-paired runs.
             if (!is_valid_proposal(candidate, config_.dims)) random_point_into(candidate);
         }
     }
@@ -317,42 +419,50 @@ std::vector<std::vector<double>> BayesSolver::ask(std::size_t n) {
 
     // One full fit (with hyperparameter search) per batch; the
     // constant-liar points are then absorbed with O(n²) rank-1 updates at
-    // the fitted hyperparameters and frozen standardization, instead of
-    // re-fitting a fresh O(n³) GP (which also forgot the optimized
-    // hyperparameters) for every pick.
+    // the fitted hyperparameters and frozen standardization.
     GaussianProcess gp;
     gp.fit(xs, ys, /*optimize=*/true);
     double best_y = ys.front();
     for (const double y : ys) best_y = std::min(best_y, y);
 
-    // Constant liar: after each pick, pretend the pick returned the
-    // incumbent best so the next pick explores elsewhere. The candidate
-    // pool for each pick is generated up front into one contiguous
-    // matrix and scored in blocked predict_batch passes; large pools are
-    // split across the thread pool (per-candidate results are
-    // independent, so chunking changes nothing).
-    linalg::Matrix pool(config_.candidates, config_.dims);
+    // Constant liar over one shared pool: after each pick, pretend it
+    // returned the incumbent best and condition the GP on that lie, so
+    // the next pick explores elsewhere. The pool is scored once; each lie
+    // then costs O(n) per candidate (PoolPosterior). A lied row often
+    // keeps the highest EI, so taken rows, and rows equal to a pick
+    // (clamped perturbations can coincide), are skipped. candidates +
+    // n - 1 rows leave every pick at least `candidates` rows besides the
+    // earlier picks.
+    linalg::Matrix pool(config_.candidates + n - 1, config_.dims);
+    fill_candidate_pool(pool);
+    PoolPosterior posterior(gp, std::move(pool));
+    const linalg::Matrix& rows = posterior.pool();
+    std::vector<bool> taken(rows.rows(), false);
     for (std::size_t pick = 0; pick < n; ++pick) {
-        // Drawn before the pool, like the old per-pick flow; candidate 0
-        // always beats best_ei = -1, so this point is only ever a stream
-        // placeholder, never a proposal.
-        std::vector<double> best_candidate = random_point();
-        fill_candidate_pool(pool);
-
-        const auto preds = score_candidate_pool(gp, pool);
-
         double best_ei = -1.0;
-        for (std::size_t c = 0; c < config_.candidates; ++c) {
-            const double ei = expected_improvement(preds[c].mean, preds[c].variance,
-                                                   best_y, config_.exploration);
+        std::size_t best_row = rows.rows();
+        for (std::size_t c = 0; c < rows.rows(); ++c) {
+            if (taken[c]) continue;
+            const GaussianProcess::Prediction p = posterior.prediction(c);
+            const double ei =
+                expected_improvement(p.mean, p.variance, best_y, config_.exploration);
             if (ei > best_ei) {
                 best_ei = ei;
-                const std::span<const double> row = pool.row(c);
-                best_candidate.assign(row.begin(), row.end());
+                best_row = c;
             }
         }
-        if (pick + 1 < n) gp.observe(best_candidate, best_y);  // the lie
-        proposals.push_back(std::move(best_candidate));
+        if (best_row == rows.rows()) {
+            // Duplicates used up the pool (or no EI compared): a fresh
+            // random point, distinct from the picks almost surely.
+            proposals.push_back(random_point());
+        } else {
+            const std::span<const double> picked = rows.row(best_row);
+            for (std::size_t c = 0; c < rows.rows(); ++c) {
+                if (!taken[c] && std::ranges::equal(rows.row(c), picked)) taken[c] = true;
+            }
+            proposals.emplace_back(picked.begin(), picked.end());
+        }
+        if (pick + 1 < n) posterior.update(gp.observe(proposals.back(), best_y));  // the lie
     }
     return proposals;
 }

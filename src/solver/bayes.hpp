@@ -42,8 +42,11 @@ public:
     /// frozen at the last fit() so the existing kernel rows remain
     /// valid; refit when the data distribution shifts. The updated
     /// factor is bitwise identical to a from-scratch refactorization at
-    /// the same hyperparameters and standardization.
-    void observe(std::vector<double> x, double y);
+    /// the same hyperparameters and standardization. Returns true when
+    /// the factor was extended; false when the extension failed and the
+    /// GP fell back to a jittered full refactorization (a PoolPosterior
+    /// tracking this GP must then be rebuilt, see PoolPosterior::update).
+    bool observe(std::vector<double> x, double y);
 
     [[nodiscard]] bool fitted() const noexcept { return !xs_.empty(); }
     [[nodiscard]] std::size_t size() const noexcept { return xs_.size(); }
@@ -73,8 +76,15 @@ public:
     [[nodiscard]] double log_marginal_likelihood(const Hyperparams& p) const;
 
 private:
+    friend class PoolPosterior;
+
     void factorize(const Hyperparams& p);
     [[nodiscard]] linalg::Matrix train_matrix() const;
+    /// k(train, x_j) as column j of an n x m matrix, with kernel()'s bits.
+    [[nodiscard]] linalg::Matrix cross_kernel(const linalg::Matrix& x) const;
+    /// Maps standardized posterior terms to a Prediction: predict()'s
+    /// variance floor and unstandardization.
+    [[nodiscard]] Prediction unstandardize(double mean_std, double sq_norm) const noexcept;
     [[nodiscard]] linalg::Matrix kernel_matrix(const Hyperparams& p) const;
     [[nodiscard]] double lml_terms(const linalg::Cholesky& chol,
                                    const linalg::Vec& alpha) const;
@@ -91,19 +101,61 @@ private:
     linalg::Vec alpha_;  ///< K^-1 y (standardized)
 };
 
-/// Scores a candidate pool against a fitted GP — the constant-liar hot
-/// path. Small pools run one blocked predict_batch pass; pools with
-/// enough work (n^2 * C) are chunked across support::global_pool() with
-/// parallel_map, which nests safely inside a pool task (a busy pool
-/// degrades it to serial). Per-candidate results are independent, so
-/// chunking and thread count change nothing: entry i is always bitwise
-/// identical to gp.predict(pool.row(i)).
+/// Scores a candidate pool against a fitted GP. Small pools run one
+/// blocked predict_batch pass; pools with enough work (n^2 * C) are
+/// chunked across support::global_pool() with parallel_map, which nests
+/// safely inside a pool task (a busy pool degrades it to serial).
+/// Per-candidate results are independent, so chunking and thread count
+/// change nothing: entry i is always bitwise identical to
+/// gp.predict(pool.row(i)).
 [[nodiscard]] std::vector<GaussianProcess::Prediction> score_candidate_pool(
     const GaussianProcess& gp, const linalg::Matrix& pool);
 
+/// The posterior of one fixed candidate pool under a GP that grows by
+/// constant-liar observe() calls (Ginsbourger, Le Riche & Carraro 2010;
+/// Rasmussen & Williams, GPML Alg. 2.1). Construction scores the pool
+/// once, chunked like score_candidate_pool, and keeps per candidate its
+/// cross-kernel column k, v = L⁻¹k and |v|². Each extended observe()
+/// appends one row per candidate in O(n) instead of re-solving in O(n²):
+/// the new point's kernel row, v's new entry by the forward-solve
+/// recurrence, |v|² += v_new², and the mean kᵀα against the new α. All
+/// sums run in the blocked solve's ascending order, so prediction(c) is
+/// bitwise identical to score_candidate_pool(gp, pool)[c] on the
+/// extended GP. The GP must outlive the posterior.
+class PoolPosterior {
+public:
+    PoolPosterior(const GaussianProcess& gp, linalg::Matrix pool);
+
+    /// Catches up with one gp.observe() whose report was `extended`:
+    /// `posterior.update(gp.observe(x, y))`. After a fallback
+    /// refactorization (extended == false) every candidate's v is
+    /// stale, and the pool is re-scored from the new factor.
+    void update(bool extended);
+
+    [[nodiscard]] const linalg::Matrix& pool() const noexcept { return pool_; }
+    [[nodiscard]] GaussianProcess::Prediction prediction(std::size_t c) const noexcept {
+        return gp_->unstandardize(mean_std_[c], sq_norm_[c]);
+    }
+
+private:
+    /// Scores the whole pool against the GP's current factor.
+    void rescore();
+
+    const GaussianProcess* gp_;
+    linalg::Matrix pool_;
+    std::size_t n_ = 0;  ///< training points the rows of k_ and v_ cover
+    /// Row-major n_ x C: row i holds k(x_i, pool) and row i of L⁻¹k.
+    std::vector<double> k_;
+    std::vector<double> v_;
+    linalg::Vec mean_std_;
+    linalg::Vec sq_norm_;
+};
+
 struct BayesConfig {
     std::size_t dims = 4;
-    std::size_t candidates = 512;   ///< random EI candidates per proposal
+    /// Untaken EI candidates each pick sees; one batch of n shares a pool
+    /// of candidates + n - 1 rows.
+    std::size_t candidates = 512;
     std::size_t warmup = 8;         ///< random samples before the GP kicks in
     double exploration = 0.01;      ///< EI xi (in standardized units)
     /// Cap on training points; the most recent ones are kept (the kernel
@@ -129,10 +181,8 @@ private:
     /// Writes a fresh valid random point into `out` (no allocation) —
     /// the candidate-pool hot path.
     void random_point_into(std::span<double> out);
-    /// Fills `pool` (candidates x dims) for one constant-liar pick. The
-    /// rng draw order is identical to generating candidates one at a
-    /// time inside the scoring loop, so seed-paired runs reproduce the
-    /// pre-batching proposal stream exactly.
+    /// Fills `pool` (rows x dims) with one batch's shared candidates:
+    /// even rows global-uniform, odd rows perturbations of the incumbent.
     void fill_candidate_pool(linalg::Matrix& pool);
 
     BayesConfig config_;

@@ -8,6 +8,7 @@
 #include <future>
 #include <latch>
 #include <numbers>
+#include <string>
 
 #include "color/mixing.hpp"
 #include "linalg/cholesky.hpp"
@@ -327,14 +328,16 @@ TEST(GaussianProcess, ObserveRequiresFitAndMatchingDims) {
     EXPECT_EQ(gp.size(), 2u);
 }
 
-TEST(GaussianProcess, ObserveSurvivesDuplicatePoints) {
-    // An exact duplicate stresses the rank-1 extension (near-singular
-    // Schur complement with small noise); the GP must stay usable via
-    // the jittered-refit fallback if the extension fails.
+TEST(GaussianProcess, ObserveExtendsThroughDuplicatePoints) {
+    // Exact duplicates are the hardest case for the rank-1 extension,
+    // yet the noise nugget keeps each new pivot's Schur complement at
+    // least noise_var (1e-2 here), so every extension succeeds and
+    // observe() reports it. The jittered-refit fallback is unreachable
+    // through the public API: fit() never selects noise_var below 1e-3.
     GaussianProcess gp;
     gp.fit({{0.2, 0.2, 0.2, 0.2}, {0.8, 0.8, 0.8, 0.8}}, {1.0, -1.0},
            /*optimize=*/false);
-    for (int i = 0; i < 4; ++i) gp.observe({0.2, 0.2, 0.2, 0.2}, 1.0);
+    for (int i = 0; i < 4; ++i) EXPECT_TRUE(gp.observe({0.2, 0.2, 0.2, 0.2}, 1.0));
     EXPECT_EQ(gp.size(), 6u);
     const auto pred = gp.predict(std::vector<double>{0.2, 0.2, 0.2, 0.2});
     EXPECT_TRUE(std::isfinite(pred.mean));
@@ -514,6 +517,153 @@ TEST(Bayes, ScoreCandidatePoolThreadCountInvariant) {
         }));
     }
     for (auto& scored : nested) expect_predict_bits(scored.get(), "saturated pool");
+}
+
+TEST(Bayes, SharedPoolLiesMatchFullRescore) {
+    // PoolPosterior's O(n)-per-candidate update after each lie must
+    // carry the exact bits of re-scoring the same pool against the
+    // extended GP. n = 16 keeps the initial scoring one blocked pass
+    // (n^2 * C below kParallelWork); n = 64 puts it on the chunked path.
+    for (const std::size_t n : {std::size_t{16}, std::size_t{64}}) {
+        Rng rng(200 + n);
+        std::vector<std::vector<double>> xs;
+        std::vector<double> ys;
+        for (std::size_t i = 0; i < n; ++i) {
+            std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform(),
+                                  rng.uniform()};
+            ys.push_back(std::sin(3.0 * x[0]) + x[1] * x[3]);
+            xs.push_back(std::move(x));
+        }
+        GaussianProcess gp;
+        gp.fit(xs, ys, /*optimize=*/true);
+        sdl::linalg::Matrix pool(192, 4);
+        for (std::size_t j = 0; j < pool.rows(); ++j)
+            for (std::size_t k = 0; k < 4; ++k) pool(j, k) = rng.uniform();
+
+        PoolPosterior posterior(gp, pool);
+        const auto expect_rescore_bits = [&](const PoolPosterior& p, std::size_t lie) {
+            const auto full = score_candidate_pool(gp, pool);
+            for (std::size_t c = 0; c < pool.rows(); ++c) {
+                const auto incremental = p.prediction(c);
+                EXPECT_EQ(incremental.mean, full[c].mean)
+                    << "n " << n << " lie " << lie << " candidate " << c;
+                EXPECT_EQ(incremental.variance, full[c].variance)
+                    << "n " << n << " lie " << lie << " candidate " << c;
+            }
+        };
+        expect_rescore_bits(posterior, 0);
+        const double lie_y = *std::min_element(ys.begin(), ys.end());
+        for (std::size_t lie = 1; lie <= 16; ++lie) {
+            // Mostly pool rows, as the solver lies; every fourth lie is a
+            // point off the pool.
+            std::vector<double> x(4);
+            for (std::size_t k = 0; k < 4; ++k) {
+                x[k] = lie % 4 == 0 ? rng.uniform() : pool(7 * lie, k);
+            }
+            posterior.update(gp.observe(x, lie_y));
+            expect_rescore_bits(posterior, lie);
+        }
+        EXPECT_EQ(gp.size(), n + 16);
+
+        // The fallback's rebuild path: a posterior told the factor was
+        // replaced re-scores from the current factor, with the same bits.
+        PoolPosterior rebuilt(gp, pool);
+        const bool extended = gp.observe({0.5, 0.1, 0.2, 0.3}, lie_y);
+        EXPECT_TRUE(extended);
+        posterior.update(extended);
+        rebuilt.update(false);
+        expect_rescore_bits(posterior, 17);
+        expect_rescore_bits(rebuilt, 17);
+    }
+}
+
+TEST(Bayes, BatchesHoldNoDuplicateProposals) {
+    // On a shared pool the lied row often keeps the highest EI, and
+    // clamped perturbations of the incumbent can coincide; neither may
+    // put two equal proposals in one batch.
+    const auto expect_clean_batch = [](const std::vector<std::vector<double>>& batch,
+                                       std::size_t n, const std::string& where) {
+        ASSERT_EQ(batch.size(), n) << where;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            EXPECT_TRUE(is_valid_proposal(batch[i], 4)) << where << " proposal " << i;
+            for (std::size_t j = i + 1; j < batch.size(); ++j) {
+                EXPECT_NE(batch[i], batch[j]) << where << " proposals " << i << ", " << j;
+            }
+        }
+    };
+    const std::vector<std::size_t> batch_sizes{1, 4, 16, 32};
+    const auto runs = sdl::support::global_pool().parallel_map(
+        8 * batch_sizes.size(), [&](std::size_t job) {
+            const std::uint64_t seed = 1 + job / batch_sizes.size();
+            const std::size_t batch = batch_sizes[job % batch_sizes.size()];
+            BayesConfig config;
+            config.seed = seed;
+            BayesSolver solver(config);
+            NoisyObjective objective(seed);
+            std::vector<std::vector<std::vector<double>>> batches;
+            for (std::size_t done = 0; done < 180;) {
+                const std::size_t n = std::min(batch, 180 - done);
+                batches.push_back(solver.ask(n));
+                std::vector<Observation> obs;
+                for (const auto& p : batches.back()) obs.push_back(objective.evaluate(p));
+                solver.tell(obs);
+                done += n;
+            }
+            return batches;
+        });
+    for (std::size_t job = 0; job < runs.size(); ++job) {
+        const std::size_t batch = batch_sizes[job % batch_sizes.size()];
+        std::size_t done = 0;
+        for (const auto& proposals : runs[job]) {
+            const std::size_t n = std::min(batch, 180 - done);
+            const std::string where = "seed " + std::to_string(1 + job / batch_sizes.size()) +
+                                      " B " + std::to_string(batch) + " after " +
+                                      std::to_string(done);
+            expect_clean_batch(proposals, n, where);
+            done += n;
+        }
+        EXPECT_EQ(done, 180u);
+    }
+
+    // A batch larger than the 512 candidates: the pool grows to
+    // candidates + n - 1 rows, so every pick still has untaken rows.
+    BayesConfig config;
+    config.candidates = 512;
+    config.warmup = 8;
+    BayesSolver solver(config);
+    NoisyObjective objective(99);
+    std::vector<Observation> warm;
+    for (const auto& p : solver.ask(16)) warm.push_back(objective.evaluate(p));
+    solver.tell(warm);
+    expect_clean_batch(solver.ask(600), 600, "ask(600)");
+
+    // An incumbent on the (1,1,1,1) corner: about one perturbed row in
+    // sixteen clamps onto it exactly, and every copy scores alike. With
+    // 8 candidates, ask(400) can outrun the pool's distinct rows; picks
+    // past that fall back to fresh random points.
+    for (const std::size_t candidates : {std::size_t{512}, std::size_t{8}}) {
+        BayesConfig corner_config;
+        corner_config.warmup = 8;
+        corner_config.candidates = candidates;
+        BayesSolver corner(corner_config);
+        std::vector<Observation> seeded;
+        for (const auto& p : corner.ask(16)) {
+            Observation o;
+            o.ratios = p;
+            o.score = 10.0 + 10.0 * (4.0 - p[0] - p[1] - p[2] - p[3]);
+            seeded.push_back(o);
+        }
+        Observation at_corner;
+        at_corner.ratios = {1.0, 1.0, 1.0, 1.0};
+        at_corner.score = 0.0;
+        seeded.push_back(at_corner);
+        corner.tell(seeded);
+        for (const std::size_t n : {std::size_t{4}, std::size_t{16}, std::size_t{400}}) {
+            expect_clean_batch(corner.ask(n), n,
+                               "corner incumbent C " + std::to_string(candidates) + " B " +
+                                   std::to_string(n));
+        }
+    }
 }
 
 TEST(Bayes, SeedPairedRunsReproduceUnderBatching) {

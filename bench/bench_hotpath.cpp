@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "imaging/plate_render.hpp"
@@ -136,10 +137,16 @@ struct VisionStats {
     double read_speedup = 0.0;
 };
 
-VisionStats bench_vision_paths(int reps) {
+/// The benchmark scene: 96 wells, slightly rotated.
+imaging::PlateScene bench_scene() {
     imaging::PlateScene scene;
     scene.noise_sigma = 2.0;
     scene.angle_rad = 0.03;
+    return scene;
+}
+
+/// Seeded random colors, one per well of `scene`.
+std::vector<color::Rgb8> random_well_colors(const imaging::PlateScene& scene) {
     support::Rng color_rng(4242);
     std::vector<color::Rgb8> colors;
     for (int i = 0; i < scene.geometry.well_count(); ++i) {
@@ -147,6 +154,12 @@ VisionStats bench_vision_paths(int reps) {
                           static_cast<std::uint8_t>(color_rng.uniform_int(256)),
                           static_cast<std::uint8_t>(color_rng.uniform_int(256))});
     }
+    return colors;
+}
+
+VisionStats bench_vision_paths(int reps) {
+    const imaging::PlateScene scene = bench_scene();
+    const std::vector<color::Rgb8> colors = random_well_colors(scene);
 
     VisionStats stats;
     support::Rng rng_prepr(7);
@@ -219,6 +232,38 @@ VisionStats bench_vision_paths(int reps) {
     return stats;
 }
 
+struct ColdReadRow {
+    int wells = 0;
+    double cold_ns = 0.0;        ///< full-frame marker scan
+    double calibrated_ns = 0.0;  ///< marker-ROI scan at the calibrated pose
+};
+
+/// First read of a fresh PlateReader (scratch allocation included), as
+/// every cell and difficulty probe pays it: built without the calibrated
+/// marker pose it scans the full frame, built with it the marker ROI.
+ColdReadRow bench_cold_read(int rows, int cols, int reps) {
+    const imaging::PlateScene scene = imaging::scene_for_plate(bench_scene(), rows, cols);
+    support::Rng frame_rng(9);
+    const imaging::Image frame =
+        imaging::render_plate(scene, random_well_colors(scene), frame_rng);
+    imaging::WellReadParams params;
+    params.geometry = scene.geometry;
+    const imaging::MarkerDetection home = imaging::nominal_marker(scene);
+    ColdReadRow row;
+    row.wells = scene.geometry.well_count();
+    row.cold_ns = time_per_call(reps, [&] {
+                      imaging::PlateReader reader(params);
+                      (void)reader.read(frame);
+                  }) *
+                  1e9;
+    row.calibrated_ns = time_per_call(reps, [&] {
+                            imaging::PlateReader reader(params, home);
+                            (void)reader.read(frame);
+                        }) *
+                        1e9;
+    return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,6 +317,14 @@ int main(int argc, char** argv) {
                 "detect_markers %.2f ms  hough(ROI) %.2f ms\n",
                 vision.to_gray_ns / 1e6, vision.blur_ns / 1e6, vision.adaptive_ns / 1e6,
                 vision.detect_markers_ns / 1e6, vision.hough_roi_ns / 1e6);
+    std::vector<ColdReadRow> cold_rows;
+    for (const auto& [rows, cols] : {std::pair{8, 12}, std::pair{32, 48}}) {
+        const ColdReadRow row = bench_cold_read(rows, cols, vision_reps);
+        std::printf("  first read of a fresh reader, %4d wells: full scan %8.2f ms   "
+                    "calibrated pose %8.2f ms\n",
+                    row.wells, row.cold_ns / 1e6, row.calibrated_ns / 1e6);
+        cold_rows.push_back(row);
+    }
 
     // The perf trajectory file.
     json::Value bench = json::Value::object();
@@ -306,6 +359,15 @@ int main(int argc, char** argv) {
     stages.set("detect_markers_ns", vision.detect_markers_ns);
     stages.set("hough_roi_ns", vision.hough_roi_ns);
     vis.set("stages", std::move(stages));
+    json::Value cold = json::Value::array();
+    for (const ColdReadRow& row : cold_rows) {
+        json::Value entry = json::Value::object();
+        entry.set("wells", static_cast<std::int64_t>(row.wells));
+        entry.set("read_cold_ns", row.cold_ns);
+        entry.set("read_calibrated_ns", row.calibrated_ns);
+        cold.push_back(std::move(entry));
+    }
+    vis.set("first_read", std::move(cold));
     bench.set("vision", std::move(vis));
     try {
         support::atomic_write("BENCH_hotpath.json", bench.pretty() + "\n");

@@ -30,8 +30,13 @@ double expected_cell_cost(const CampaignCell& cell) {
     }
     // Every batch is a synthesize -> render -> read cycle with a fixed
     // vision/workcell overhead that dwarfs one proposal's solver cost.
+    // Render and read scale with the frame's area: scene_for_plate
+    // upscales 384- and 1536-well frames 2x and 4x per side, so the
+    // overhead is 1x, 4x and 16x the 96-well value.
     constexpr double kBatchOverhead = 24.0;
-    return samples * per_sample + batches * kBatchOverhead;
+    const double frame_area =
+        std::max(1, cell.config.plate_rows * cell.config.plate_cols / 96);
+    return samples * per_sample + batches * kBatchOverhead * frame_area;
 }
 
 std::vector<std::size_t> schedule_order(const std::vector<CampaignCell>& cells) {

@@ -28,7 +28,8 @@ namespace sdl::campaign {
 /// Grows with total_samples, with the per-solver per-proposal weight,
 /// superlinearly for the GP-backed solver (its fit cost climbs with the
 /// observation count), and with the number of batches (each batch is a
-/// full synthesize-image-measure cycle).
+/// full synthesize-image-measure cycle, dearer on denser plate formats,
+/// whose frames are larger).
 [[nodiscard]] double expected_cell_cost(const CampaignCell& cell);
 
 /// Positions into `cells`, ordered by descending expected_cell_cost;

@@ -102,16 +102,19 @@ ColorPickerApp::BatchReadout ColorPickerApp::mix_and_measure(
     // §2.4 vision pipeline on the captured frame. An unusable frame
     // (occluded fiducial, reflection) is recovered by retaking the photo
     // — the plate is already sitting on the camera nest.
+    const imaging::PlateScene scene = imaging::scene_for_plate(
+        runtime_->camera().scene(), config.plate_rows, config.plate_cols);
     imaging::WellReadParams read_params;
-    read_params.geometry =
-        imaging::scene_for_plate(runtime_->camera().scene(), config.plate_rows,
-                                 config.plate_cols)
-            .geometry;
+    read_params.geometry = scene.geometry;
     const auto read_frame = [&](std::int64_t id) {
         if (!config.vision_roi_fast_path) {
             return imaging::read_plate(runtime_->camera().frame(id), read_params);
         }
-        if (!reader_.has_value()) reader_.emplace(read_params);
+        // The nest's calibrated fiducial pose seeds the reader, so even
+        // the first frame and post-glitch retakes skip the full scan.
+        if (!reader_.has_value()) {
+            reader_.emplace(read_params, imaging::nominal_marker(scene));
+        }
         return reader_->read(runtime_->camera().frame(id));
     };
     imaging::WellReadout readout = read_frame(frame_id);

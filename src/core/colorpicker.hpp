@@ -81,9 +81,10 @@ private:
     std::unique_ptr<WorkcellRuntime> owned_runtime_;  ///< null when borrowing
     WorkcellRuntime* runtime_ = nullptr;
     std::unique_ptr<solver::Solver> solver_;
-    /// Session vision reader: reuses the frame scratch pool and tracks
-    /// the marker ROI across batches (bitwise identical to per-frame
-    /// read_plate; see ColorPickerConfig::vision_roi_fast_path).
+    /// Session vision reader: reuses the frame scratch pool, starts at the
+    /// calibrated marker pose and tracks the marker ROI across batches
+    /// (bitwise identical to per-frame read_plate; see
+    /// ColorPickerConfig::vision_roi_fast_path).
     std::optional<imaging::PlateReader> reader_;
 
     ExperimentOutcome outcome_;

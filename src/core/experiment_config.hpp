@@ -81,11 +81,11 @@ struct ColorPickerConfig {
     wei::RetryPolicy retry;
     data::FlowConfig flow;
     metrics::MetricsConfig metrics;
-    /// Vision hot path: track the fiducial across batches and rescan only
-    /// its neighborhood (imaging::PlateReader). Readouts are bitwise
-    /// identical with the flag on or off — it exists for identity tests
-    /// and perf comparisons, and is deliberately not part of the YAML
-    /// schema.
+    /// Vision hot path: scan only the neighborhood of the nest's
+    /// calibrated fiducial pose, then of the tracked one
+    /// (imaging::PlateReader). Readouts are bitwise identical with the
+    /// flag on or off — it exists for identity tests and perf
+    /// comparisons, and is deliberately not part of the YAML schema.
     bool vision_roi_fast_path = true;
 
     // --- publication

@@ -198,6 +198,20 @@ std::vector<Vec2> true_well_centers(const PlateScene& scene) {
     return centers;
 }
 
+MarkerDetection nominal_marker(const PlateScene& scene) {
+    const Vec2 c = scene.marker_center;
+    const Vec2 half_x = Vec2{1, 0}.rotated(scene.angle_rad) * (scene.marker_side_px / 2);
+    const Vec2 half_y = Vec2{0, 1}.rotated(scene.angle_rad) * (scene.marker_side_px / 2);
+    MarkerDetection marker;
+    marker.id = scene.marker_id;
+    marker.corners = {c - half_x - half_y, c + half_x - half_y, c + half_x + half_y,
+                      c - half_x + half_y};
+    marker.center = c;
+    marker.side = scene.marker_side_px;
+    marker.angle = scene.angle_rad;
+    return marker;
+}
+
 PlateScene scene_for_plate(PlateScene scene, int rows, int cols) {
     scene.geometry.rows = rows;
     scene.geometry.cols = cols;

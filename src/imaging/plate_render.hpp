@@ -75,6 +75,12 @@ struct PlateScene {
 /// Ground-truth well-center positions for a scene (for tests/metrics).
 [[nodiscard]] std::vector<Vec2> true_well_centers(const PlateScene& scene);
 
+/// The fiducial pose the scene is calibrated for: the black-square
+/// corners render_marker draws (clockwise from top-left), their center,
+/// side and angle. A fixed camera nest sees the marker here on every
+/// frame, so a PlateReader can start its marker search at this pose.
+[[nodiscard]] MarkerDetection nominal_marker(const PlateScene& scene);
+
 /// Adapts a scene to a plate format. Up to the calibrated 8x12 the scene
 /// passes through with only rows/cols set (96-well frames stay bitwise
 /// identical to the pre-adaptation renderer). Denser formats (384-, 1536-

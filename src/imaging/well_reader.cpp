@@ -143,7 +143,7 @@ WellReadout read_plate(const Image& frame, const WellReadParams& params,
 
 WellReadout PlateReader::read(const Image& frame) {
     if (hint_.has_value()) {
-        // Scan only a padded neighborhood of the last marker pose. The
+        // Scan only a padded neighborhood of the expected marker pose. The
         // padding keeps the (static) marker blob clear of the region's
         // contamination band, so a hit is bitwise identical to the
         // full-frame detection; anything suspicious falls through.
@@ -182,11 +182,7 @@ WellReadout PlateReader::read(const Image& frame) {
     }
     ++full_scans_;
     WellReadout out = read_plate(frame, params_, scratch_);
-    if (out.ok) {
-        hint_ = out.marker;
-    } else {
-        hint_.reset();
-    }
+    hint_ = out.ok ? std::optional<MarkerDetection>(out.marker) : home_;
     return out;
 }
 

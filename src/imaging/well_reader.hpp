@@ -71,16 +71,24 @@ struct FrameScratch {
                                      FrameScratch& scratch);
 
 /// Session reader for a fixed camera: between frames the fiducial stays
-/// put, so after one successful full-frame read the detector only scans
-/// a small neighborhood of the last marker pose (detect_markers_in_region)
-/// and the luma conversion covers just the marker and plate ROIs. Any
+/// put, so the detector only scans a small neighborhood of the expected
+/// marker pose (detect_markers_in_region) and the luma conversion covers
+/// just the marker and plate ROIs. The expected pose is the last
+/// detected one; before the first read and after a failed read it is the
+/// calibrated `home` pose (nominal_marker of the workcell's scene), so
+/// cold starts and recoveries take the ROI path too. A reader built
+/// without `home` runs a full-frame scan at those points instead. Any
 /// doubt — contaminated region, marker missing or moved — falls back to
-/// the full-frame pipeline, so every frame's readout is bitwise
-/// identical to read_plate on the same frame (single tracked marker; a
-/// scene with several markers of the same id needs full scans).
+/// the full-frame pipeline, so every frame's readout, cold or warm, is
+/// bitwise identical to read_plate on the same frame. This holds for a
+/// single marker in the scene: a region scan cannot see a second, larger
+/// matching marker elsewhere that a full scan would pick, so such scenes
+/// need read_plate.
 class PlateReader {
 public:
     explicit PlateReader(WellReadParams params) : params_(std::move(params)) {}
+    PlateReader(WellReadParams params, const MarkerDetection& home)
+        : params_(std::move(params)), home_(home), hint_(home) {}
 
     [[nodiscard]] WellReadout read(const Image& frame);
 
@@ -92,6 +100,7 @@ public:
 private:
     WellReadParams params_;
     FrameScratch scratch_;
+    std::optional<MarkerDetection> home_;
     std::optional<MarkerDetection> hint_;
     std::size_t roi_hits_ = 0;
     std::size_t full_scans_ = 0;

@@ -2,7 +2,8 @@
 # and when SMOKE_EXPECT is set require it as a substring of the output.
 # SMOKE_EXPECT_FAIL=1 inverts the exit-code check (the binary must fail)
 # — used by the negative-path smokes, e.g. an unknown generated-scenario
-# reference.
+# reference. GOLDEN_MD5 + GOLDEN_FILE pin the bytes of one output file
+# (path relative to the working directory).
 if(NOT DEFINED SMOKE_BINARY)
   message(FATAL_ERROR "smoke_runner.cmake: SMOKE_BINARY not set")
 endif()
@@ -34,6 +35,14 @@ if(DEFINED SMOKE_EXPECT)
   if(pos EQUAL -1)
     message(FATAL_ERROR
       "smoke: output of ${SMOKE_BINARY} does not contain \"${SMOKE_EXPECT}\"\nstdout:\n${out}\nstderr:\n${err}")
+  endif()
+endif()
+
+if(DEFINED GOLDEN_MD5)
+  file(MD5 "${GOLDEN_FILE}" got_md5)
+  if(NOT got_md5 STREQUAL GOLDEN_MD5)
+    message(FATAL_ERROR
+      "smoke: ${GOLDEN_FILE} digest drifted: got ${got_md5}, golden ${GOLDEN_MD5}")
   endif()
 endif()
 

@@ -271,6 +271,28 @@ TEST(CostModelTest, TiesKeepPositionOrderAndCostsArePositive) {
     EXPECT_TRUE(schedule_order({}).empty());
 }
 
+TEST(CostModelTest, DenserPlateFormatsRankAheadOfEqual96WellCells) {
+    // A 1536-well frame is 16x the pixels of a 96-well one, so its
+    // render+read batches cost more: LPT must lease it first even when it
+    // sits last in grid order.
+    std::vector<CampaignCell> cells = {
+        make_cell(0, "genetic", 8, 4),
+        make_cell(1, "genetic", 8, 4),
+        make_cell(2, "genetic", 8, 4),
+        make_cell(3, "genetic", 8, 4),
+    };
+    cells[1].config.plate_rows = 16;
+    cells[1].config.plate_cols = 24;
+    cells[3].config.plate_rows = 32;
+    cells[3].config.plate_cols = 48;
+    EXPECT_EQ(schedule_order(cells), (std::vector<std::size_t>{3, 1, 0, 2}));
+    // Formats up to 96 wells (and the 128-well quickstart plate) share
+    // the 96-well overhead, so such grids keep their order.
+    CampaignCell wide = make_cell(4, "genetic", 8, 4);
+    wide.config.plate_cols = 16;
+    EXPECT_EQ(expected_cell_cost(wide), expected_cell_cost(cells[0]));
+}
+
 // ------------------------------------------------------ SDLBENCH_WORKERS
 
 TEST(PoolSizeFromEnvTest, ParsesPositiveIntegersOnly) {

@@ -678,6 +678,74 @@ TEST(HotPath, PlateReaderRoiPathBitwiseAcrossFrameSequence) {
     EXPECT_EQ(reader.roi_hits(), 9u);
 }
 
+TEST(HotPath, PlateReaderCalibratedPoseBitwiseAcrossFormatsAndRotations) {
+    // Seeded with the scene's calibrated fiducial pose, the reader serves
+    // the cold first frame and the retake after a glitched frame from the
+    // marker-ROI path, bitwise equal to read_plate; only the glitched
+    // frame (no marker anywhere) runs a full-frame scan.
+    const std::pair<int, int> formats[] = {{8, 12}, {16, 24}, {32, 48}};
+    for (const auto& [rows, cols] : formats) {
+        for (const double angle : {-0.03, 0.05}) {
+            const int wells = rows * cols;
+            PlateScene base;
+            base.angle_rad = angle;
+            base.noise_sigma = 2.5;
+            const PlateScene scene = scene_for_plate(base, rows, cols);
+            WellReadParams params;
+            params.geometry = scene.geometry;
+            PlateReader reader(params, nominal_marker(scene));
+            Rng rng(89);
+            for (int frame_index = 0; frame_index < 3; ++frame_index) {
+                PlateScene frame_scene = scene;
+                const bool glitched = frame_index == 1;
+                if (glitched) frame_scene.marker_center = {-10000.0, -10000.0};
+                const Image frame = hot_path_frame(frame_scene, frame_index, rng);
+                const WellReadout session = reader.read(frame);
+                expect_same_readout(session, read_plate(frame, params), "calibrated",
+                                    frame_index);
+                EXPECT_EQ(session.ok, !glitched) << wells << " " << frame_index;
+                EXPECT_EQ(session.roi_fast_path, !glitched)
+                    << wells << " wells, angle " << angle << ", frame " << frame_index;
+            }
+            EXPECT_EQ(reader.full_scans(), 1u) << wells << " wells, angle " << angle;
+            EXPECT_EQ(reader.roi_hits(), 2u) << wells << " wells, angle " << angle;
+        }
+    }
+}
+
+TEST(HotPath, PlateReaderWrongCalibratedPoseFallsBackToFullScan) {
+    // A calibrated pose far from the real marker must cost only speed:
+    // the region scan misses, the full-frame scan takes over with the
+    // same bytes, and the reader then tracks the real marker — until a
+    // failed read sends it back to the wrong pose.
+    PlateScene scene;
+    scene.angle_rad = -0.03;
+    scene.noise_sigma = 2.5;
+    WellReadParams params;
+    params.geometry = scene.geometry;
+    MarkerDetection wrong = nominal_marker(scene);
+    const Vec2 shift{600.0, 200.0};  // bottom-right deck, clear of plate and marker
+    wrong.center = wrong.center + shift;
+    for (Vec2& corner : wrong.corners) corner = corner + shift;
+    PlateReader reader(params, wrong);
+    Rng rng(97);
+    for (int frame_index = 0; frame_index < 5; ++frame_index) {
+        PlateScene frame_scene = scene;
+        const bool glitched = frame_index == 2;
+        if (glitched) frame_scene.marker_center = {-10000.0, -10000.0};
+        const Image frame = hot_path_frame(frame_scene, frame_index, rng);
+        const WellReadout session = reader.read(frame);
+        expect_same_readout(session, read_plate(frame, params), "wrong pose",
+                            frame_index);
+        EXPECT_EQ(session.ok, !glitched) << frame_index;
+        // Tracking after the two full scans that found the marker.
+        const bool tracked = frame_index == 1 || frame_index == 4;
+        EXPECT_EQ(session.roi_fast_path, tracked) << frame_index;
+    }
+    EXPECT_EQ(reader.full_scans(), 3u);
+    EXPECT_EQ(reader.roi_hits(), 2u);
+}
+
 TEST(HotPath, RegionRestrictedDetectionMatchesFullFrame) {
     PlateScene scene;
     scene.noise_sigma = 2.0;

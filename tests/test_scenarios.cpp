@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/campaign_io.hpp"
@@ -14,6 +17,7 @@
 #include "core/colorpicker.hpp"
 #include "core/config_io.hpp"
 #include "core/presets.hpp"
+#include "core/scenario_gen.hpp"
 #include "core/scenarios.hpp"
 #include "core/workcell_spec.hpp"
 #include "support/common.hpp"
@@ -375,12 +379,27 @@ TEST(Scenarios, VisionRoiFastPathByteIdenticalAcrossScenarioPack) {
     // shipped scenario, a run with the fast path on serializes to the
     // exact bytes of a run with it off (same seed, same workcell).
     support::set_log_level(support::LogLevel::Error);
+    std::vector<std::pair<std::string, WorkcellSpec>> workcells;
     for (const std::string& name : scenario_names()) {
+        workcells.emplace_back(name, scenario_by_name(name));
+    }
+    // Generated scenarios bring the denser formats, whose upscaled frames
+    // put the calibrated marker pose elsewhere: the first seed drawing a
+    // 384-well and the first drawing a 1536-well plate.
+    for (const int rows : {16, 32}) {
+        std::uint64_t seed = 1;
+        while (generate_scenario(seed).plate_rows.value_or(0) != rows) {
+            ASSERT_LT(++seed, 1000u) << "no generated " << rows << "-row plate";
+        }
+        workcells.emplace_back("generated:seed=" + std::to_string(seed),
+                               generate_scenario(seed));
+    }
+    for (const auto& [name, spec] : workcells) {
         const auto run_with = [&](bool fast) {
             ColorPickerConfig config = preset_quickstart();
             config.total_samples = 12;
             config.batch_size = 4;
-            config = apply_workcell_spec(config, scenario_by_name(name));
+            config = apply_workcell_spec(config, spec);
             config.vision_roi_fast_path = fast;
             ColorPickerApp app(config);
             const ExperimentOutcome outcome = app.run();

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -711,6 +714,71 @@ TEST(HotPath, PlateReaderCalibratedPoseBitwiseAcrossFormatsAndRotations) {
             EXPECT_EQ(reader.roi_hits(), 2u) << wells << " wells, angle " << angle;
         }
     }
+}
+
+namespace {
+
+/// FNV-1a 64 over the object bytes of `value`, continuing from `h`.
+template <typename T>
+std::uint64_t fnv1a(std::uint64_t h, const T& value) noexcept {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const auto bytes = std::bit_cast<std::array<std::uint8_t, sizeof(T)>>(value);
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ULL;  // FNV prime
+    }
+    return h;
+}
+
+std::uint64_t fnv1a_readout(std::uint64_t h, const WellReadout& r) noexcept {
+    h = fnv1a(h, r.ok);
+    for (const Rgb8& c : r.colors) h = fnv1a(h, std::array{c.r, c.g, c.b});
+    for (const Vec2& p : r.centers) h = fnv1a(h, std::array{p.x, p.y});
+    h = fnv1a(h, static_cast<std::uint64_t>(r.marker.id));
+    for (const Vec2& p : r.marker.corners) h = fnv1a(h, std::array{p.x, p.y});
+    h = fnv1a(h, std::array{r.marker.center.x, r.marker.center.y, r.marker.side,
+                            r.marker.angle});
+    h = fnv1a(h, r.marker.bit_errors);
+    h = fnv1a(h, static_cast<std::uint64_t>(r.hough_circles_found));
+    h = fnv1a(h, static_cast<std::uint64_t>(r.wells_rescued));
+    return fnv1a(h, r.grid_residual_px);
+}
+
+}  // namespace
+
+TEST(HotPath, ReadoutBytesPinnedAcrossPlateFormats) {
+    // Golden digest over read_plate readouts — colors, predicted centers,
+    // marker pose, circle and rescue counts, grid residual — of 96-, 384-
+    // and 1536-well scenes at two rotations, with one glitched frame. It
+    // pins every tuning constant of the reader (marker detection, ROI
+    // padding, Hough radius band, inlier gate, sample disk): any change
+    // that moves a readout bit is a deliberate golden re-pin.
+    const std::pair<int, int> formats[] = {{8, 12}, {16, 24}, {32, 48}};
+    std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+    Rng rng(101);
+    int frame_index = 0;
+    for (const auto& [rows, cols] : formats) {
+        for (const double angle : {-0.04, 0.07}) {
+            PlateScene base;
+            base.angle_rad = angle;
+            base.noise_sigma = 2.5;
+            const PlateScene scene = scene_for_plate(base, rows, cols);
+            WellReadParams params;
+            params.geometry = scene.geometry;
+            const WellReadout readout =
+                read_plate(hot_path_frame(scene, frame_index++, rng), params);
+            ASSERT_TRUE(readout.ok) << rows * cols << " wells, angle " << angle;
+            h = fnv1a_readout(h, readout);
+        }
+    }
+    PlateScene glitched;
+    glitched.marker_center = {-10000.0, -10000.0};
+    WellReadParams params;
+    params.geometry = glitched.geometry;
+    const WellReadout lost = read_plate(hot_path_frame(glitched, frame_index, rng), params);
+    EXPECT_FALSE(lost.ok);
+    h = fnv1a_readout(h, lost);
+    EXPECT_EQ(h, 0x274e0012350e4364ULL) << "readout digest " << std::hex << h;
 }
 
 TEST(HotPath, PlateReaderWrongCalibratedPoseFallsBackToFullScan) {

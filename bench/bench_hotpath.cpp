@@ -62,6 +62,10 @@ struct GpRow {
     double prepr_ns = 0.0;       ///< per candidate, frozen PR-4 predict loop
     double sequential_ns = 0.0;  ///< per candidate, current predict() loop
     double batch_ns = 0.0;       ///< per candidate, score_candidate_pool
+    /// Per candidate, building a PoolPosterior over the pool — what
+    /// BayesSolver::ask scores with (it also keeps k and L^-1 k for the
+    /// constant-liar updates). Informational, not gated.
+    double posterior_ns = 0.0;
     double speedup = 0.0;        ///< prepr -> batch
     double speedup_vs_sequential = 0.0;
 };
@@ -105,6 +109,11 @@ GpRow bench_gp(std::size_t n, std::size_t candidates, int reps) {
         const auto preds = solver::score_candidate_pool(gp, pool);
         sink += preds.front().mean + preds.back().variance;
     });
+    const double posterior_s = time_per_call(reps, [&] {
+        const solver::PoolPosterior posterior(gp, pool);
+        const auto pred = posterior.prediction(candidates - 1);
+        sink += pred.mean + pred.variance;
+    });
     if (sink == 42.0) std::printf("|");  // never true; defeats DCE
 
     GpRow row;
@@ -113,6 +122,7 @@ GpRow bench_gp(std::size_t n, std::size_t candidates, int reps) {
     row.prepr_ns = prepr_s * 1e9 / static_cast<double>(candidates);
     row.sequential_ns = seq_s * 1e9 / static_cast<double>(candidates);
     row.batch_ns = batch_s * 1e9 / static_cast<double>(candidates);
+    row.posterior_ns = posterior_s * 1e9 / static_cast<double>(candidates);
     row.speedup = row.batch_ns > 0.0 ? row.prepr_ns / row.batch_ns : 0.0;
     row.speedup_vs_sequential =
         row.batch_ns > 0.0 ? row.sequential_ns / row.batch_ns : 0.0;
@@ -207,7 +217,7 @@ VisionStats bench_vision_paths(int reps) {
     std::vector<imaging::MarkerDetection> detections;
     stats.detect_markers_ns = time_per_call(reps, [&] {
                                   detect_markers(frame, imaging::MarkerDictionary::standard(),
-                                                 {}, marker_scratch, detections);
+                                                 marker_scratch, detections);
                               }) *
                               1e9;
     // Hough over the plate ROI, as read_plate drives it.
@@ -281,8 +291,9 @@ int main(int argc, char** argv) {
     std::printf("\n[GP posterior scoring] PR-4 predict loop vs batched scoring:\n");
     {
         support::TextTable table({"n (obs)", "C (candidates)", "PR4 ns/pt", "seq ns/pt",
-                                  "batch ns/pt", "speedup vs PR4"});
+                                  "batch ns/pt", "posterior ns/pt", "speedup vs PR4"});
         table.set_alignment({support::TextTable::Align::Right,
+                             support::TextTable::Align::Right,
                              support::TextTable::Align::Right,
                              support::TextTable::Align::Right,
                              support::TextTable::Align::Right,
@@ -296,6 +307,7 @@ int main(int argc, char** argv) {
                                support::fmt_double(row.prepr_ns, 0),
                                support::fmt_double(row.sequential_ns, 0),
                                support::fmt_double(row.batch_ns, 0),
+                               support::fmt_double(row.posterior_ns, 0),
                                support::fmt_double(row.speedup, 2) + "x"});
             }
         }
@@ -338,6 +350,7 @@ int main(int argc, char** argv) {
         entry.set("prepr_ns_per_predict", row.prepr_ns);
         entry.set("sequential_ns_per_predict", row.sequential_ns);
         entry.set("batch_ns_per_predict", row.batch_ns);
+        entry.set("posterior_ns_per_predict", row.posterior_ns);
         entry.set("speedup_vs_prepr", row.speedup);
         entry.set("speedup_vs_sequential", row.speedup_vs_sequential);
         gp.push_back(std::move(entry));

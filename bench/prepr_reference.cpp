@@ -473,14 +473,15 @@ std::vector<CircleDetection> hough_circles(const GrayImage& gray, const HoughPar
 // -------------------------------------------------------- old well read
 
 WellReadout read_plate(const Image& frame, const WellReadParams& params) {
+    const ReadTuning tuning;
     WellReadout out;
     const SceneGeometry& g = params.geometry;
 
     const auto markers =
-        prepr::detect_markers(frame, MarkerDictionary::standard(), params.marker);
+        prepr::detect_markers(frame, MarkerDictionary::standard(), tuning.marker);
     const MarkerDetection* marker = nullptr;
     for (const auto& m : markers) {
-        if (params.marker_id < 0 || m.id == static_cast<std::size_t>(params.marker_id)) {
+        if (tuning.marker_id < 0 || m.id == static_cast<std::size_t>(tuning.marker_id)) {
             if (marker == nullptr || m.side > marker->side) marker = &m;
         }
     }
@@ -509,7 +510,7 @@ WellReadout read_plate(const Image& frame, const WellReadParams& params) {
             max_y = std::max(max_y, p.y);
         }
     }
-    const double margin = params.roi_margin * pitch;
+    const double margin = tuning.roi_margin * pitch;
     const Rect roi = Rect{static_cast<int>(std::floor(min_x - margin)),
                           static_cast<int>(std::floor(min_y - margin)),
                           static_cast<int>(std::ceil(max_x + margin)),
@@ -519,8 +520,8 @@ WellReadout read_plate(const Image& frame, const WellReadParams& params) {
     const double expected_r = g.well_radius * s;
     HoughParams hough;
     hough.roi = roi;
-    hough.r_min = std::max(2.0, expected_r * (1.0 - params.radius_tolerance));
-    hough.r_max = expected_r * (1.0 + params.radius_tolerance);
+    hough.r_min = std::max(2.0, expected_r * (1.0 - tuning.radius_tolerance));
+    hough.r_max = expected_r * (1.0 + tuning.radius_tolerance);
     hough.min_center_dist = 0.6 * pitch;
     hough.max_circles = static_cast<std::size_t>(g.well_count()) * 2;
     const GrayImage gray = old_to_gray(frame);
@@ -532,7 +533,7 @@ WellReadout read_plate(const Image& frame, const WellReadParams& params) {
     for (const auto& c : circles) centers_detected.push_back(c.center);
 
     const GridFit fit = fit_grid(centers_detected, initial, g.rows, g.cols,
-                                 params.inlier_radius * pitch);
+                                 tuning.inlier_radius * pitch);
     out.grid_residual_px = fit.mean_residual;
 
     std::vector<bool> supported(static_cast<std::size_t>(g.well_count()), false);
@@ -546,7 +547,7 @@ WellReadout read_plate(const Image& frame, const WellReadParams& params) {
         const int r = static_cast<int>(std::lround(rc.x));
         const int c = static_cast<int>(std::lround(rc.y));
         if (r < 0 || r >= g.rows || c < 0 || c >= g.cols) continue;
-        if (distance(fit.model.center(r, c), p) <= params.inlier_radius * pitch) {
+        if (distance(fit.model.center(r, c), p) <= tuning.inlier_radius * pitch) {
             supported[static_cast<std::size_t>(r * g.cols + c)] = true;
         }
     }
@@ -556,7 +557,7 @@ WellReadout read_plate(const Image& frame, const WellReadParams& params) {
 
     out.centers.reserve(static_cast<std::size_t>(g.well_count()));
     out.colors.reserve(static_cast<std::size_t>(g.well_count()));
-    const double sample_r = params.sample_radius * expected_r;
+    const double sample_r = tuning.sample_radius * expected_r;
     for (int r = 0; r < g.rows; ++r) {
         for (int c = 0; c < g.cols; ++c) {
             const Vec2 center = fit.model.center(r, c);

@@ -27,11 +27,33 @@ namespace prepr {
     std::span<const sdl::color::Rgb8> well_colors, sdl::support::Rng& rng,
     const std::vector<bool>* filled = nullptr);
 
+/// PR-4 fiducial detection tuning, frozen here: the shipped detector's
+/// constants may be retuned without moving the yardstick.
+struct MarkerDetectParams {
+    double min_side_px = 12.0;
+    double max_side_px = 400.0;
+    double min_squareness = 0.6;
+    float adaptive_offset = 0.08F;
+    int adaptive_window = 31;
+    double blur_sigma = 0.8;
+    int max_correctable_bits = 1;
+};
+
+/// PR-4 read_plate tuning, frozen like MarkerDetectParams.
+struct ReadTuning {
+    int marker_id = -1;  ///< -1 = accept any dictionary marker
+    MarkerDetectParams marker;
+    double roi_margin = 1.2;
+    double radius_tolerance = 0.45;
+    double inlier_radius = 0.42;
+    double sample_radius = 0.55;
+};
+
 /// PR-4 detect_markers: fresh gray/blur/threshold planes and labeling
 /// per call.
 [[nodiscard]] std::vector<sdl::imaging::MarkerDetection> detect_markers(
     const sdl::imaging::Image& img, const sdl::imaging::MarkerDictionary& dict,
-    const sdl::imaging::MarkerDetectParams& params = {});
+    const MarkerDetectParams& params = {});
 
 /// PR-4 hough_circles: crop copy, per-call accumulators, hypot edge
 /// magnitudes, full-edge-list radius scans per peak.
@@ -39,7 +61,8 @@ namespace prepr {
     const sdl::imaging::GrayImage& gray, const sdl::imaging::HoughParams& params);
 
 /// PR-4 read_plate: full-frame marker scan, a second full-frame gray
-/// conversion for the Hough stage, all buffers allocated per frame.
+/// conversion for the Hough stage, all buffers allocated per frame. Only
+/// `params.geometry` is read; the tuning is ReadTuning's.
 [[nodiscard]] sdl::imaging::WellReadout read_plate(
     const sdl::imaging::Image& frame, const sdl::imaging::WellReadParams& params);
 

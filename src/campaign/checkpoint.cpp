@@ -27,19 +27,21 @@ std::string Shard::str() const {
 }
 
 Shard Shard::parse(const std::string& text) {
+    // Digits only: std::stoul alone would also take a sign ("-1" wraps to
+    // ULONG_MAX) and leading whitespace.
+    const auto number = [](const std::string& digits) {
+        if (digits.empty() || digits.find_first_not_of("0123456789") != std::string::npos) {
+            throw std::invalid_argument("not a number");
+        }
+        return std::stoul(digits);
+    };
     const std::size_t slash = text.find('/');
     std::size_t i = 0;
     std::size_t n = 0;
     try {
-        if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) {
-            throw std::invalid_argument("shape");
-        }
-        std::size_t parsed = 0;
-        i = std::stoul(text.substr(0, slash), &parsed);
-        if (parsed != slash) throw std::invalid_argument("index");
-        const std::string rest = text.substr(slash + 1);
-        n = std::stoul(rest, &parsed);
-        if (parsed != rest.size()) throw std::invalid_argument("count");
+        if (slash == std::string::npos) throw std::invalid_argument("shape");
+        i = number(text.substr(0, slash));
+        n = number(text.substr(slash + 1));
     } catch (const std::exception&) {
         throw support::ConfigError("bad shard '" + text +
                                    "' (expected i/N, e.g. --shard 1/3)");

@@ -23,14 +23,7 @@ constexpr int kMaxRetakes = 3;
 }  // namespace
 
 ColorPickerApp::ColorPickerApp(ColorPickerConfig config)
-    : owned_runtime_(std::make_unique<WorkcellRuntime>(std::move(config))),
-      runtime_(owned_runtime_.get()) {
-    runtime_->claim();
-    init_solver();
-}
-
-ColorPickerApp::ColorPickerApp(WorkcellRuntime& runtime) : runtime_(&runtime) {
-    runtime_->claim();
+    : runtime_(std::make_unique<WorkcellRuntime>(std::move(config))) {
     init_solver();
 }
 

@@ -13,7 +13,10 @@
 //      housekeeping along the way.
 //
 // The workcell itself — devices, transport, engine, event log, data
-// plane — lives in WorkcellRuntime; this class only drives the loop.
+// plane — lives in WorkcellRuntime, which the app builds from its config
+// and owns; this class only drives the loop. Drivers that need the
+// runtime itself construct a WorkcellRuntime and drive its engine
+// directly.
 #pragma once
 
 #include <memory>
@@ -27,18 +30,13 @@
 
 namespace sdl::core {
 
-/// Runs one experiment to completion on a workcell runtime. Construct,
-/// call run() once, then inspect the outcome, the portal, or the event
-/// log.
+/// Runs one experiment to completion on its own workcell runtime.
+/// Construct, call run() once, then inspect the outcome, the portal, or
+/// the event log.
 class ColorPickerApp {
 public:
-    /// Convenience: builds and owns a WorkcellRuntime for `config`.
+    /// Builds the WorkcellRuntime for `config`; the app owns it.
     explicit ColorPickerApp(ColorPickerConfig config);
-
-    /// Borrows an externally owned runtime (which carries the config);
-    /// the runtime must outlive the app. A runtime drives at most one
-    /// experiment: borrowing an already claimed one throws LogicError.
-    explicit ColorPickerApp(WorkcellRuntime& runtime);
 
     /// Executes the experiment to completion.
     [[nodiscard]] ExperimentOutcome run();
@@ -78,8 +76,7 @@ private:
                      std::int64_t frame_id);
     void publish_experiment_header();
 
-    std::unique_ptr<WorkcellRuntime> owned_runtime_;  ///< null when borrowing
-    WorkcellRuntime* runtime_ = nullptr;
+    std::unique_ptr<WorkcellRuntime> runtime_;
     std::unique_ptr<solver::Solver> solver_;
     /// Session vision reader: reuses the frame scratch pool, starts at the
     /// calibrated marker pose and tracks the marker ROI across batches

@@ -3,10 +3,10 @@
 // WorkcellRuntime owns everything below the application loop: the DES
 // clock, plate/location registries, the instrument simulators, fault
 // injection, the transport, the workflow engine with its event log, and
-// the data plane (portal + Globus flow). ColorPickerApp borrows a runtime
-// and runs the Figure-2 loop on it; other applications (campaign cells,
-// custom drivers) can construct their own runtime and drive the engine
-// directly.
+// the data plane (portal + Globus flow). ColorPickerApp builds and owns
+// one and runs the Figure-2 loop on it; other applications (campaign
+// cells, custom drivers) can construct their own runtime and drive the
+// engine directly.
 //
 // The workcell's *shape* is data: config.workcell (a WorkcellTopology,
 // normally produced by applying a WorkcellSpec / named scenario) decides
@@ -42,13 +42,12 @@ public:
     /// The finalized configuration this workcell was built for.
     [[nodiscard]] const ColorPickerConfig& config() const noexcept { return config_; }
 
-    /// Marks the runtime as driven by one experiment application. The
-    /// workcell's state (DES clock, plates, reservoirs, event log,
-    /// portal) is cumulative, so a second experiment on the same runtime
-    /// would silently corrupt its metrics — claiming twice throws
-    /// LogicError instead.
+    /// Marks the runtime as driven by one experiment (for drivers that
+    /// run their own loop on it). The workcell's state (DES clock,
+    /// plates, reservoirs, event log, portal) is cumulative, so a second
+    /// experiment on the same runtime would silently corrupt its metrics
+    /// — claiming twice throws LogicError instead.
     void claim();
-    [[nodiscard]] bool claimed() const noexcept { return claimed_; }
 
     // --- simulation & control plane
     [[nodiscard]] des::Simulation& sim() noexcept { return sim_; }

@@ -6,7 +6,10 @@
 // mechanism from scratch: a 4x4-bit payload surrounded by a one-cell
 // black border, a dictionary with guaranteed rotational ambiguity-free
 // codes, an encoder that rasterizes markers into camera frames, and a
-// detector that recovers id, corners, scale and orientation.
+// detector that recovers id, corners, scale and orientation. The
+// detector is tuned once for the workcell camera (side range, blur,
+// adaptive threshold, error correction); those values are constants in
+// fiducial.cpp, not per-call options.
 #pragma once
 
 #include <cstdint>
@@ -79,19 +82,9 @@ struct MarkerDetection {
     int bit_errors = 0;
 };
 
-struct MarkerDetectParams {
-    double min_side_px = 12.0;       ///< reject tiny candidates
-    double max_side_px = 400.0;      ///< reject huge candidates
-    double min_squareness = 0.6;     ///< side-ratio gate for quads
-    float adaptive_offset = 0.08F;   ///< threshold margin below local mean
-    int adaptive_window = 31;        ///< local-mean window (odd)
-    double blur_sigma = 0.8;         ///< denoise before thresholding
-    int max_correctable_bits = 1;    ///< dictionary error correction
-};
-
 /// Finds all dictionary markers in the frame.
-[[nodiscard]] std::vector<MarkerDetection> detect_markers(
-    const Image& img, const MarkerDictionary& dict, const MarkerDetectParams& params = {});
+[[nodiscard]] std::vector<MarkerDetection> detect_markers(const Image& img,
+                                                          const MarkerDictionary& dict);
 
 /// Reusable detection workspace: the gray/blurred/thresholded planes,
 /// the summed-area table, the labeling, and the boundary buffer all
@@ -109,21 +102,21 @@ struct MarkerScratch {
 
 /// detect_markers with a persistent workspace; fills `out` (cleared
 /// first). Results are bitwise identical to detect_markers.
-void detect_markers(const Image& img, const MarkerDictionary& dict,
-                    const MarkerDetectParams& params, MarkerScratch& scratch,
+void detect_markers(const Image& img, const MarkerDictionary& dict, MarkerScratch& scratch,
                     std::vector<MarkerDetection>& out);
 
 /// Pixel margin a blob must keep from any interior (non-frame) edge of a
 /// detection region for the region-restricted pipeline to reproduce the
 /// full-frame filter outputs over that blob exactly: the adaptive
 /// threshold's half window, plus the blur kernel radius, plus the
-/// labeling/boundary pixel neighborhood.
-[[nodiscard]] int marker_region_margin(const MarkerDetectParams& params);
+/// labeling/boundary pixel neighborhood (fiducial.cpp derives it from
+/// the detection constants).
+inline constexpr int kMarkerRegionMargin = 20;
 
 /// Region-restricted detection — the ROI fast path. Runs the same
 /// pipeline over `region` (clipped to the frame) only, producing
 /// detections in frame coordinates. Every detection returned comes from
-/// a blob that kept marker_region_margin() pixels clear of interior
+/// a blob that kept kMarkerRegionMargin pixels clear of interior
 /// region edges, and is therefore bitwise identical to the detection a
 /// full-frame detect_markers would produce for the same blob; blobs
 /// inside the contaminated band are skipped, never decoded differently.
@@ -133,9 +126,7 @@ void detect_markers(const Image& img, const MarkerDictionary& dict,
 /// cannot see markers outside `region` either way; callers that need
 /// every marker in the frame — not just one tracked marker with a
 /// full-frame fallback — must scan the full frame.
-bool detect_markers_in_region(const Image& img, const MarkerDictionary& dict,
-                              const MarkerDetectParams& params, Rect region,
-                              MarkerScratch& scratch,
-                              std::vector<MarkerDetection>& out);
+bool detect_markers_in_region(const Image& img, const MarkerDictionary& dict, Rect region,
+                              MarkerScratch& scratch, std::vector<MarkerDetection>& out);
 
 }  // namespace sdl::imaging

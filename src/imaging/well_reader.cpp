@@ -9,15 +9,18 @@ namespace sdl::imaging {
 
 namespace {
 
-/// read_plate's marker choice: the largest detection with the requested
-/// id (or the largest of any id when marker_id < 0).
-const MarkerDetection* select_marker(const std::vector<MarkerDetection>& markers,
-                                     int marker_id) {
+// Reader tuning for the workcell camera, relative to the plate's pitch
+// and well radius.
+constexpr double kRoiMargin = 1.2;         ///< ROI padding around the grid, in pitches
+constexpr double kRadiusTolerance = 0.45;  ///< Hough radius range around expected
+constexpr double kInlierRadius = 0.42;     ///< grid assignment gate, in pitches
+constexpr double kSampleRadius = 0.55;     ///< color readout disk, in well radii
+
+/// read_plate's marker choice: the largest detection of any dictionary id.
+const MarkerDetection* select_marker(const std::vector<MarkerDetection>& markers) {
     const MarkerDetection* marker = nullptr;
     for (const auto& m : markers) {
-        if (marker_id < 0 || m.id == static_cast<std::size_t>(marker_id)) {
-            if (marker == nullptr || m.side > marker->side) marker = &m;
-        }
+        if (marker == nullptr || m.side > marker->side) marker = &m;
     }
     return marker;
 }
@@ -49,7 +52,7 @@ WellReadout read_with_marker(const Image& frame, const WellReadParams& params,
             max_y = std::max(max_y, p.y);
         }
     }
-    const double margin = params.roi_margin * pitch;
+    const double margin = kRoiMargin * pitch;
     const Rect roi = Rect{static_cast<int>(std::floor(min_x - margin)),
                           static_cast<int>(std::floor(min_y - margin)),
                           static_cast<int>(std::ceil(max_x + margin)),
@@ -63,8 +66,8 @@ WellReadout read_with_marker(const Image& frame, const WellReadParams& params,
     const double expected_r = g.well_radius * s;
     HoughParams hough;
     hough.roi = {0, 0, roi.width(), roi.height()};
-    hough.r_min = std::max(2.0, expected_r * (1.0 - params.radius_tolerance));
-    hough.r_max = expected_r * (1.0 + params.radius_tolerance);
+    hough.r_min = std::max(2.0, expected_r * (1.0 - kRadiusTolerance));
+    hough.r_max = expected_r * (1.0 + kRadiusTolerance);
     hough.min_center_dist = 0.6 * pitch;
     hough.max_circles = static_cast<std::size_t>(g.well_count()) * 2;
     to_gray_roi(frame, roi, scratch.gray_roi);
@@ -81,8 +84,8 @@ WellReadout read_with_marker(const Image& frame, const WellReadParams& params,
         centers_detected.push_back({c.center.x + roi.x0, c.center.y + roi.y0});
     }
 
-    const GridFit fit = fit_grid(centers_detected, initial, g.rows, g.cols,
-                                 params.inlier_radius * pitch);
+    const GridFit fit =
+        fit_grid(centers_detected, initial, g.rows, g.cols, kInlierRadius * pitch);
     out.grid_residual_px = fit.mean_residual;
 
     // Count distinct lattice nodes with direct circle support.
@@ -97,7 +100,7 @@ WellReadout read_with_marker(const Image& frame, const WellReadParams& params,
         const int r = static_cast<int>(std::lround(rc.x));
         const int c = static_cast<int>(std::lround(rc.y));
         if (r < 0 || r >= g.rows || c < 0 || c >= g.cols) continue;
-        if (distance(fit.model.center(r, c), p) <= params.inlier_radius * pitch) {
+        if (distance(fit.model.center(r, c), p) <= kInlierRadius * pitch) {
             supported[static_cast<std::size_t>(r * g.cols + c)] = true;
         }
     }
@@ -108,7 +111,7 @@ WellReadout read_with_marker(const Image& frame, const WellReadParams& params,
     // 5. Color readout at every predicted center.
     out.centers.reserve(static_cast<std::size_t>(g.well_count()));
     out.colors.reserve(static_cast<std::size_t>(g.well_count()));
-    const double sample_r = params.sample_radius * expected_r;
+    const double sample_r = kSampleRadius * expected_r;
     for (int r = 0; r < g.rows; ++r) {
         for (int c = 0; c < g.cols; ++c) {
             const Vec2 center = fit.model.center(r, c);
@@ -130,9 +133,8 @@ WellReadout read_plate(const Image& frame, const WellReadParams& params) {
 WellReadout read_plate(const Image& frame, const WellReadParams& params,
                        FrameScratch& scratch) {
     // 1. Fiducial marker, full-frame scan.
-    detect_markers(frame, MarkerDictionary::standard(), params.marker, scratch.marker,
-                   scratch.detections);
-    const MarkerDetection* marker = select_marker(scratch.detections, params.marker_id);
+    detect_markers(frame, MarkerDictionary::standard(), scratch.marker, scratch.detections);
+    const MarkerDetection* marker = select_marker(scratch.detections);
     if (marker == nullptr) {
         WellReadout out;
         out.error = "fiducial marker not found";
@@ -155,8 +157,8 @@ WellReadout PlateReader::read(const Image& frame) {
             min_y = std::min(min_y, corner.y);
             max_y = std::max(max_y, corner.y);
         }
-        const int pad = marker_region_margin(params_.marker) +
-                        static_cast<int>(std::ceil(0.5 * hint_->side)) + 4;
+        const int pad =
+            kMarkerRegionMargin + static_cast<int>(std::ceil(0.5 * hint_->side)) + 4;
         const Rect region{static_cast<int>(std::floor(min_x)) - pad,
                           static_cast<int>(std::floor(min_y)) - pad,
                           static_cast<int>(std::ceil(max_x)) + pad,
@@ -167,11 +169,9 @@ WellReadout PlateReader::read(const Image& frame) {
         // full-frame fallback below takes over. This is where the
         // single-tracked-marker assumption bites: a second, larger
         // matching marker outside the region would win a full scan.
-        (void)detect_markers_in_region(frame, MarkerDictionary::standard(),
-                                       params_.marker, region, scratch_.marker,
-                                       scratch_.detections);
-        const MarkerDetection* marker =
-            select_marker(scratch_.detections, params_.marker_id);
+        (void)detect_markers_in_region(frame, MarkerDictionary::standard(), region,
+                                       scratch_.marker, scratch_.detections);
+        const MarkerDetection* marker = select_marker(scratch_.detections);
         if (marker != nullptr) {
             ++roi_hits_;
             WellReadout out = read_with_marker(frame, params_, *marker, scratch_);

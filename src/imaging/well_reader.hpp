@@ -6,6 +6,12 @@
 //   4. align a lattice to the detected circles, predicting centers for
 //      every well — including those HoughCircles missed;
 //   5. report the color at each (predicted) well center.
+//
+// The pipeline is tuned once for the workcell camera: the marker is the
+// largest dictionary marker in view, and the ROI padding, Hough radius
+// band, grid inlier gate and color sample disk are constants in
+// well_reader.cpp (fiducial.cpp holds the detector's). The only
+// per-read input is the plate layout.
 #pragma once
 
 #include <optional>
@@ -21,13 +27,7 @@
 namespace sdl::imaging {
 
 struct WellReadParams {
-    SceneGeometry geometry;          ///< marker-relative plate layout
-    int marker_id = -1;              ///< -1 = accept any dictionary marker
-    MarkerDetectParams marker;       ///< fiducial detection tuning
-    double roi_margin = 1.2;         ///< ROI padding around the grid, in pitches
-    double radius_tolerance = 0.45;  ///< Hough radius range around expected
-    double inlier_radius = 0.42;     ///< grid assignment gate, in pitches
-    double sample_radius = 0.55;     ///< color readout disk, in well radii
+    SceneGeometry geometry;  ///< marker-relative plate layout
 };
 
 struct WellReadout {

@@ -41,14 +41,12 @@ Vec forward_substitute(const Matrix& l, const Vec& b) {
     return y;
 }
 
-/// Shared L1-tiled multi-RHS forward-substitution sweep. Tiling keeps
-/// each tile's active slab L1-resident while the O(n^2) row sweep runs
-/// over it — without it, every row pass streams the whole n x m matrix
-/// and the solve goes memory-bound. Columns are independent, so tiling
-/// leaves every element's operation sequence (and its bits) unchanged.
-/// The Fused flag adds the two GP reductions to the same sweep; keeping
-/// one body means the plain and fused variants cannot drift apart.
-template <bool Fused>
+/// L1-tiled multi-RHS forward-substitution sweep with the two GP
+/// reductions. Tiling keeps each tile's active slab L1-resident while the
+/// O(n^2) row sweep runs over it — without it, every row pass streams the
+/// whole n x m matrix and the solve goes memory-bound. Columns are
+/// independent, so tiling leaves every element's operation sequence (and
+/// its bits) unchanged.
 void tiled_lower_sweep(const Matrix& l, Matrix& b, std::span<const double> weights,
                        std::span<double> weighted_sums, std::span<double> sq_norms) {
     const std::size_t n = l.rows();
@@ -58,12 +56,10 @@ void tiled_lower_sweep(const Matrix& l, Matrix& b, std::span<const double> weigh
         const std::size_t tile = std::min(kTile, m - j0);
         for (std::size_t i = 0; i < n; ++i) {
             double* row_i = b.row(i).data() + j0;
-            if constexpr (Fused) {
-                // Row i still holds the original right-hand sides here.
-                const double wi = weights[i];
-                double* wsum = weighted_sums.data() + j0;
-                for (std::size_t j = 0; j < tile; ++j) wsum[j] += row_i[j] * wi;
-            }
+            // Row i still holds the original right-hand sides here.
+            const double wi = weights[i];
+            double* wsum = weighted_sums.data() + j0;
+            for (std::size_t j = 0; j < tile; ++j) wsum[j] += row_i[j] * wi;
             for (std::size_t k = 0; k < i; ++k) {
                 const double lik = l(i, k);
                 const double* row_k = b.row(k).data() + j0;
@@ -71,10 +67,8 @@ void tiled_lower_sweep(const Matrix& l, Matrix& b, std::span<const double> weigh
             }
             const double lii = l(i, i);
             for (std::size_t j = 0; j < tile; ++j) row_i[j] /= lii;
-            if constexpr (Fused) {
-                double* sq = sq_norms.data() + j0;
-                for (std::size_t j = 0; j < tile; ++j) sq[j] += row_i[j] * row_i[j];
-            }
+            double* sq = sq_norms.data() + j0;
+            for (std::size_t j = 0; j < tile; ++j) sq[j] += row_i[j] * row_i[j];
         }
     }
 }
@@ -104,16 +98,11 @@ Vec Cholesky::solve(const Vec& b) const {
     return x;
 }
 
-void Cholesky::solve_lower_multi(Matrix& b) const {
-    support::check(b.rows() == size(), "cholesky solve_lower_multi: size mismatch");
-    tiled_lower_sweep<false>(l_, b, {}, {}, {});
-}
-
 void Cholesky::solve_lower_multi_fused(Matrix& b, std::span<const double> weights,
                                        std::span<double> weighted_sums,
                                        std::span<double> sq_norms) const {
     const std::size_t n = size();
-    support::check(b.rows() == n, "cholesky solve_lower_multi: size mismatch");
+    support::check(b.rows() == n, "cholesky solve_lower_multi_fused: size mismatch");
     const std::size_t m = b.cols();
     support::check(weights.size() == n && weighted_sums.size() == m &&
                        sq_norms.size() == m,
@@ -122,7 +111,7 @@ void Cholesky::solve_lower_multi_fused(Matrix& b, std::span<const double> weight
         weighted_sums[j] = 0.0;
         sq_norms[j] = 0.0;
     }
-    tiled_lower_sweep<true>(l_, b, weights, weighted_sums, sq_norms);
+    tiled_lower_sweep(l_, b, weights, weighted_sums, sq_norms);
 }
 
 void Cholesky::extend(const Vec& b, double c) {

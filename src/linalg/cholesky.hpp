@@ -35,10 +35,7 @@ public:
     /// solve_lower cannot. Every column's result is bitwise identical
     /// to solve_lower on that column: per element the same multiplies
     /// and subtractions run in the same order, only interleaved across
-    /// columns.
-    void solve_lower_multi(Matrix& b) const;
-
-    /// solve_lower_multi fused with the two reductions GP batch
+    /// columns. The sweep is fused with the two reductions GP batch
     /// prediction needs, all in one pass over `b`:
     ///   weighted_sums[j] = sum_i weights[i] * B_original(i, j)
     ///     (accumulated before row i is overwritten — for the GP this is

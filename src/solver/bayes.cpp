@@ -351,6 +351,13 @@ void PoolPosterior::update(bool extended) {
 
 // ------------------------------------------------------------ BayesSolver
 
+namespace {
+constexpr double kExploration = 0.01;  ///< EI xi (in standardized units)
+/// Cap on training points; the most recent ones are kept (the kernel
+/// solve is O(n^3)).
+constexpr std::size_t kMaxPoints = 256;
+}  // namespace
+
 BayesSolver::BayesSolver(BayesConfig config) : config_(config), rng_(config.seed) {
     support::check(config_.dims >= 1, "bayes solver needs at least one dye");
     support::check(config_.candidates >= 8, "need a non-trivial candidate pool");
@@ -407,11 +414,11 @@ std::vector<std::vector<double>> BayesSolver::ask(std::size_t n) {
         return proposals;
     }
 
-    // Training set: most recent max_points observations.
+    // Training set: most recent kMaxPoints observations.
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
     const std::size_t start =
-        archive().size() > config_.max_points ? archive().size() - config_.max_points : 0;
+        archive().size() > kMaxPoints ? archive().size() - kMaxPoints : 0;
     for (std::size_t i = start; i < archive().size(); ++i) {
         xs.push_back(archive()[i].ratios);
         ys.push_back(archive()[i].score);
@@ -444,8 +451,7 @@ std::vector<std::vector<double>> BayesSolver::ask(std::size_t n) {
         for (std::size_t c = 0; c < rows.rows(); ++c) {
             if (taken[c]) continue;
             const GaussianProcess::Prediction p = posterior.prediction(c);
-            const double ei =
-                expected_improvement(p.mean, p.variance, best_y, config_.exploration);
+            const double ei = expected_improvement(p.mean, p.variance, best_y, kExploration);
             if (ei > best_ei) {
                 best_ei = ei;
                 best_row = c;

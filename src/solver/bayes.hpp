@@ -156,11 +156,7 @@ struct BayesConfig {
     /// Untaken EI candidates each pick sees; one batch of n shares a pool
     /// of candidates + n - 1 rows.
     std::size_t candidates = 512;
-    std::size_t warmup = 8;         ///< random samples before the GP kicks in
-    double exploration = 0.01;      ///< EI xi (in standardized units)
-    /// Cap on training points; the most recent ones are kept (the kernel
-    /// solve is O(n^3)).
-    std::size_t max_points = 256;
+    std::size_t warmup = 8;  ///< random samples before the GP kicks in
     std::uint64_t seed = 0xBA7E5;
 };
 

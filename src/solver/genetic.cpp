@@ -6,9 +6,13 @@
 
 namespace sdl::solver {
 
+namespace {
+constexpr double kMutationScale = 0.15;  ///< uniform ratio-shift half-width
+constexpr int kGridLevels = 5;           ///< initial uniform grid, per dimension
+}  // namespace
+
 GeneticSolver::GeneticSolver(GeneticConfig config) : config_(config), rng_(config.seed) {
     support::check(config_.dims >= 1, "genetic solver needs at least one dye");
-    support::check(config_.mutation_scale > 0.0, "mutation scale must be positive");
 }
 
 const std::vector<Observation>& GeneticSolver::parents() const {
@@ -42,8 +46,7 @@ std::vector<double> GeneticSolver::mutate() {
     const std::vector<double>& base = pool[rng_.uniform_int(pool.size())].ratios;
     std::vector<double> child(config_.dims);
     for (std::size_t d = 0; d < config_.dims; ++d) {
-        const double shifted =
-            base[d] + rng_.uniform(-config_.mutation_scale, config_.mutation_scale);
+        const double shifted = base[d] + rng_.uniform(-kMutationScale, kMutationScale);
         child[d] = support::clamp(shifted, 0.0, 1.0);
     }
     if (!is_valid_proposal(child, config_.dims)) return random_ratios();
@@ -59,14 +62,7 @@ std::vector<std::vector<double>> GeneticSolver::ask(std::size_t n) {
         // Initial population from a uniform grid: enumerate lattice points
         // of a g^dims grid in seeded-shuffled order, skipping degenerate
         // (all-zero) corners.
-        int levels = config_.grid_levels;
-        if (levels < 2) {
-            levels = 2;
-            while (std::pow(levels, static_cast<double>(config_.dims)) <
-                   static_cast<double>(n) + 1.0) {
-                ++levels;
-            }
-        }
+        constexpr int levels = kGridLevels;
         const auto total = static_cast<std::size_t>(
             std::llround(std::pow(levels, static_cast<double>(config_.dims))));
         const std::vector<std::size_t> order = rng_.permutation(total);

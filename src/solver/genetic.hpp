@@ -24,11 +24,7 @@
 namespace sdl::solver {
 
 struct GeneticConfig {
-    std::size_t dims = 4;          ///< number of dyes
-    double mutation_scale = 0.15;  ///< uniform ratio-shift half-width
-    /// Grid levels per dimension for the initial uniform grid; 0 picks
-    /// the smallest grid covering the first requested batch.
-    int grid_levels = 5;
+    std::size_t dims = 4;  ///< number of dyes
     std::uint64_t seed = 0x6E7E71C;
 };
 

@@ -91,7 +91,8 @@ TEST(Shard, ParsesOneBasedSlices) {
 
 TEST(Shard, RejectsMalformedAndOutOfRange) {
     for (const char* bad : {"", "3", "/3", "3/", "0/3", "4/3", "a/3", "1/b", "1/0",
-                            "1/3x", "-1/3"}) {
+                            "1/3x", "-1/3", "-1/-1", "-2/-1", "1/-3", "+1/2", " 1/2",
+                            "1/2/3", "99999999999999999999999/1"}) {
         EXPECT_THROW((void)Shard::parse(bad), support::ConfigError) << bad;
     }
 }

@@ -508,33 +508,6 @@ TEST(RendererExtra, NoiseIsPureFunctionOfFrameKey) {
     EXPECT_GT(changed, a.bytes().size() / 2);
 }
 
-// ------------------------------------------------------------ well read
-
-TEST(WellReaderExtra, RejectsWrongMarkerId) {
-    PlateScene scene;  // renders marker id 7
-    std::vector<Rgb8> colors(96, Rgb8{120, 120, 120});
-    Rng rng(9);
-    const Image frame = render_plate(scene, colors, rng);
-    WellReadParams params;
-    params.geometry = scene.geometry;
-    params.marker_id = 3;  // wrong id
-    const WellReadout readout = read_plate(frame, params);
-    EXPECT_FALSE(readout.ok);
-}
-
-TEST(WellReaderExtra, AcceptsSpecificMarkerId) {
-    PlateScene scene;
-    std::vector<Rgb8> colors(96, Rgb8{120, 120, 120});
-    Rng rng(9);
-    const Image frame = render_plate(scene, colors, rng);
-    WellReadParams params;
-    params.geometry = scene.geometry;
-    params.marker_id = static_cast<int>(scene.marker_id);
-    const WellReadout readout = read_plate(frame, params);
-    EXPECT_TRUE(readout.ok);
-    EXPECT_EQ(readout.marker.id, scene.marker_id);
-}
-
 // ------------------------------------------------- hot-path identity
 //
 // The zero-allocation vision pipeline (scratch pools, region-restricted
@@ -820,19 +793,17 @@ TEST(HotPath, RegionRestrictedDetectionMatchesFullFrame) {
     std::vector<Rgb8> colors(96, Rgb8{120, 60, 180});
     Rng rng(83);
     const Image frame = render_plate(scene, colors, rng);
-    const MarkerDetectParams params;
-
-    const auto full = detect_markers(frame, MarkerDictionary::standard(), params);
+    const auto full = detect_markers(frame, MarkerDictionary::standard());
     ASSERT_EQ(full.size(), 1u);
 
     // Region comfortably around the marker: must reproduce the detection
     // exactly, in frame coordinates.
     const int cx = static_cast<int>(full[0].center.x);
     const int cy = static_cast<int>(full[0].center.y);
-    const int reach = static_cast<int>(full[0].side) + marker_region_margin(params) + 10;
+    const int reach = static_cast<int>(full[0].side) + kMarkerRegionMargin + 10;
     MarkerScratch scratch;
     std::vector<MarkerDetection> regional;
-    (void)detect_markers_in_region(frame, MarkerDictionary::standard(), params,
+    (void)detect_markers_in_region(frame, MarkerDictionary::standard(),
                                    {cx - reach, cy - reach, cx + reach, cy + reach},
                                    scratch, regional);
     ASSERT_EQ(regional.size(), 1u);
@@ -850,8 +821,7 @@ TEST(HotPath, RegionRestrictedDetectionMatchesFullFrame) {
     // blob (no subtly-different detection) and report the skip.
     std::vector<MarkerDetection> sliced;
     const bool sliced_clean = detect_markers_in_region(
-        frame, MarkerDictionary::standard(), params, {cx - reach, cy - reach, cx, cy},
-        scratch, sliced);
+        frame, MarkerDictionary::standard(), {cx - reach, cy - reach, cx, cy}, scratch, sliced);
     EXPECT_FALSE(sliced_clean);
     EXPECT_TRUE(sliced.empty());
 }

@@ -207,69 +207,69 @@ TEST(FastMath, VexpBitwiseMatchesScalarFastExp) {
     EXPECT_EQ(inplace, out);
 }
 
-TEST(Cholesky, SolveLowerMultiBitwiseMatchesPerColumn) {
-    // Property: for every size, RHS count, seed, and conditioning, the
-    // blocked multi-RHS sweep carries the exact bits of the scalar
-    // per-column forward substitution.
-    for (const std::uint64_t seed : kPropertySeeds) {
-        for (const std::size_t n : kPropertySizes) {
-            Rng rng(seed + n * 331);
-            const double boost = kDiagBoosts[(seed + n) % 3];
-            const Matrix a = random_spd(n, rng, boost);
-            const Cholesky chol(a);
-            const std::size_t m = 1 + (seed + n * 7) % 60;
-            Matrix b(n, m);
-            for (std::size_t i = 0; i < n; ++i)
-                for (std::size_t j = 0; j < m; ++j) b(i, j) = rng.uniform(-3, 3);
+namespace {
 
-            Matrix y = b;
-            chol.solve_lower_multi(y);
-            for (std::size_t j = 0; j < m; ++j) {
-                Vec col(n);
-                for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
-                const Vec want = chol.solve_lower(col);
-                for (std::size_t i = 0; i < n; ++i) {
-                    EXPECT_EQ(y(i, j), want[i])
-                        << "n=" << n << " m=" << m << " boost=" << boost << " seed="
-                        << seed << " col " << j << " row " << i;
-                }
-            }
+/// Draws an n x m right-hand side and n weights from `rng`, runs the
+/// fused sweep, and checks it against the unfused scalar flow:
+/// solve_lower per column, dot(b_col, weights) and dot(y_col, y_col) in
+/// ascending-index order.
+void expect_fused_matches_dots(const Cholesky& chol, std::size_t m, Rng& rng,
+                               const std::string& what) {
+    const std::size_t n = chol.size();
+    Matrix b(n, m);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < m; ++j) b(i, j) = rng.uniform(-3, 3);
+    Vec weights(n);
+    for (double& w : weights) w = rng.uniform(-1, 1);
+
+    Matrix y = b;
+    Vec wsum(m);
+    Vec sq(m);
+    chol.solve_lower_multi_fused(y, weights, wsum, sq);
+
+    for (std::size_t j = 0; j < m; ++j) {
+        Vec col(n);
+        for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
+        const Vec solved = chol.solve_lower(col);
+        EXPECT_EQ(wsum[j], dot(col, weights)) << what << " col " << j;
+        EXPECT_EQ(sq[j], dot(solved, solved)) << what << " col " << j;
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(y(i, j), solved[i]) << what << " col " << j << " row " << i;
         }
     }
 }
 
+}  // namespace
+
 TEST(Cholesky, SolveLowerMultiFusedReductionsMatchDots) {
-    // Property: the fused solve+reductions path equals the unfused
-    // scalar flow — dot(b_col, weights) and dot(y_col, y_col) in
-    // ascending-index order — at every size and conditioning.
+    // Property: for every size, RHS count, seed, and conditioning, the
+    // blocked fused solve+reductions sweep carries the exact bits of the
+    // scalar per-column flow.
+    for (const std::uint64_t seed : kPropertySeeds) {
+        for (const std::size_t n : kPropertySizes) {
+            Rng rng(seed + n * 331);
+            const double boost = kDiagBoosts[(seed + n) % 3];
+            const Cholesky chol(random_spd(n, rng, boost));
+            const std::size_t m = 1 + (seed + n * 7) % 60;
+            expect_fused_matches_dots(chol, m, rng,
+                                      "n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                                          " boost=" + std::to_string(boost) +
+                                          " seed=" + std::to_string(seed));
+        }
+    }
     for (const std::size_t n : kPropertySizes) {
         Rng rng(61 + n * 977);
-        const double boost = kDiagBoosts[n % 3];
-        const Matrix a = random_spd(n, rng, boost);
-        const Cholesky chol(a);
+        const Cholesky chol(random_spd(n, rng, kDiagBoosts[n % 3]));
         const std::size_t m = 1 + (n * 11) % 40;
-        Matrix b(n, m);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < m; ++j) b(i, j) = rng.uniform(-3, 3);
-        Vec weights(n);
-        for (double& w : weights) w = rng.uniform(-1, 1);
+        expect_fused_matches_dots(chol, m, rng, "n=" + std::to_string(n));
 
-        Matrix y = b;
+        const Vec weights(n);
         Vec wsum(m);
         Vec sq(m);
-        chol.solve_lower_multi_fused(y, weights, wsum, sq);
-
-        for (std::size_t j = 0; j < m; ++j) {
-            Vec col(n);
-            for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
-            const Vec solved = chol.solve_lower(col);
-            EXPECT_EQ(wsum[j], dot(col, weights)) << "n=" << n << " col " << j;
-            EXPECT_EQ(sq[j], dot(solved, solved)) << "n=" << n << " col " << j;
-            for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(y(i, j), solved[i]);
-        }
-
         Matrix wrong_rows(n + 1, m);
-        EXPECT_THROW(chol.solve_lower_multi(wrong_rows), sdl::support::LogicError);
+        EXPECT_THROW(chol.solve_lower_multi_fused(wrong_rows, weights, wsum, sq),
+                     sdl::support::LogicError);
+        Matrix y(n, m);
         Vec short_sums(m - 1);
         if (m > 1) {
             EXPECT_THROW(chol.solve_lower_multi_fused(y, weights, short_sums, sq),
@@ -419,7 +419,7 @@ namespace {
 
 /// The randomized n (training points) x d (dims) x C (candidates)
 /// sweep grid. Sizes straddle the solver's real shapes (n up to the GP
-/// max_points neighborhood, C around the 512-candidate pools) plus the
+/// training-point cap neighborhood, C around the 512-candidate pools) plus the
 /// degenerate edges (n = 1, C = 1, odd sizes that leave unroll tails).
 struct CaseShape {
     std::size_t n, d, c;
@@ -521,14 +521,21 @@ Matrix reference_rbf_from_sq_dist(Matrix d2, double sv, double ls) {
     return d2;
 }
 
-/// Naive per-column forward substitution.
-Matrix reference_solve_lower_multi(const Matrix& l, Matrix b) {
+/// Naive per-column forward substitution with the GP's two reductions:
+/// `wsum` gets weights . b_col and `sq` gets |y_col|^2, both summed in
+/// ascending row order.
+Matrix reference_solve_lower_multi(const Matrix& l, Matrix b, std::span<const double> weights,
+                                   Vec& wsum, Vec& sq) {
     const std::size_t n = l.rows();
+    wsum.assign(b.cols(), 0.0);
+    sq.assign(b.cols(), 0.0);
     for (std::size_t col = 0; col < b.cols(); ++col) {
         for (std::size_t i = 0; i < n; ++i) {
+            wsum[col] += b(i, col) * weights[i];
             double s = b(i, col);
             for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * b(k, col);
             b(i, col) = s / l(i, i);
+            sq[col] += b(i, col) * b(i, col);
         }
     }
     return b;
@@ -557,9 +564,17 @@ TEST(ReferenceKernels, MatchHistoricalKernelsBitwise) {
                               "cholesky factor");
 
             Matrix b = random_matrix(rng, shape.n, shape.c, -1.0, 1.0);
-            const Matrix expected = reference_solve_lower_multi(chol.lower(), b);
-            chol.solve_lower_multi(b);
-            expect_bits_equal(expected, b, "solve_lower_multi");
+            const Matrix weights = random_matrix(rng, 1, shape.n, -1.0, 1.0);
+            Vec want_wsum;
+            Vec want_sq;
+            const Matrix expected = reference_solve_lower_multi(chol.lower(), b, weights.row(0),
+                                                                want_wsum, want_sq);
+            Vec wsum(shape.c);
+            Vec sq(shape.c);
+            chol.solve_lower_multi_fused(b, weights.row(0), wsum, sq);
+            expect_bits_equal(expected, b, "solve_lower_multi_fused");
+            expect_bits_equal(want_wsum, wsum, "solve_lower_multi_fused weighted sums");
+            expect_bits_equal(want_sq, sq, "solve_lower_multi_fused squared norms");
         }
     }
 }

@@ -110,9 +110,7 @@ TEST(SolverBase, ProposalValidation) {
 // ---------------------------------------------------------------- genetic
 
 TEST(Genetic, InitialPopulationComesFromUniformGrid) {
-    GeneticConfig config;
-    config.grid_levels = 5;
-    GeneticSolver solver(config);
+    GeneticSolver solver;
     const auto proposals = solver.ask(16);
     ASSERT_EQ(proposals.size(), 16u);
     for (const auto& p : proposals) {

@@ -291,9 +291,8 @@ int main(int argc, char** argv) {
     std::printf("\n[GP posterior scoring] PR-4 predict loop vs batched scoring:\n");
     {
         support::TextTable table({"n (obs)", "C (candidates)", "PR4 ns/pt", "seq ns/pt",
-                                  "batch ns/pt", "posterior ns/pt", "speedup vs PR4"});
+                                  "batch ns/pt", "speedup vs PR4"});
         table.set_alignment({support::TextTable::Align::Right,
-                             support::TextTable::Align::Right,
                              support::TextTable::Align::Right,
                              support::TextTable::Align::Right,
                              support::TextTable::Align::Right,
@@ -307,7 +306,6 @@ int main(int argc, char** argv) {
                                support::fmt_double(row.prepr_ns, 0),
                                support::fmt_double(row.sequential_ns, 0),
                                support::fmt_double(row.batch_ns, 0),
-                               support::fmt_double(row.posterior_ns, 0),
                                support::fmt_double(row.speedup, 2) + "x"});
             }
         }

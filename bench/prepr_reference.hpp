@@ -27,7 +27,7 @@ namespace prepr {
     std::span<const sdl::color::Rgb8> well_colors, sdl::support::Rng& rng,
     const std::vector<bool>* filled = nullptr);
 
-/// PR-4 fiducial detection tuning, frozen here: the shipped detector's
+/// The reference detector's tuning, frozen here: the shipped detector's
 /// constants may be retuned without moving the yardstick.
 struct MarkerDetectParams {
     double min_side_px = 12.0;
@@ -39,7 +39,7 @@ struct MarkerDetectParams {
     int max_correctable_bits = 1;
 };
 
-/// PR-4 read_plate tuning, frozen like MarkerDetectParams.
+/// The reference read_plate's tuning, frozen like MarkerDetectParams.
 struct ReadTuning {
     int marker_id = -1;  ///< -1 = accept any dictionary marker
     MarkerDetectParams marker;

@@ -14,8 +14,8 @@
 //
 // The workcell itself — devices, transport, engine, event log, data
 // plane — lives in WorkcellRuntime, which the app builds from its config
-// and owns; this class only drives the loop. Drivers that need the
-// runtime itself construct a WorkcellRuntime and drive its engine
+// and owns; this class only drives the loop. Code that needs the
+// runtime itself constructs a WorkcellRuntime and runs its engine
 // directly.
 #pragma once
 

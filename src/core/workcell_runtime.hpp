@@ -5,7 +5,7 @@
 // injection, the transport, the workflow engine with its event log, and
 // the data plane (portal + Globus flow). ColorPickerApp builds and owns
 // one and runs the Figure-2 loop on it; other applications (campaign
-// cells, custom drivers) can construct their own runtime and drive the
+// cells, custom loops) can construct their own runtime and run the
 // engine directly.
 //
 // The workcell's *shape* is data: config.workcell (a WorkcellTopology,
@@ -42,8 +42,8 @@ public:
     /// The finalized configuration this workcell was built for.
     [[nodiscard]] const ColorPickerConfig& config() const noexcept { return config_; }
 
-    /// Marks the runtime as driven by one experiment (for drivers that
-    /// run their own loop on it). The workcell's state (DES clock,
+    /// Marks the runtime as used by one experiment (for code that runs
+    /// its own loop on it). The workcell's state (DES clock,
     /// plates, reservoirs, event log, portal) is cumulative, so a second
     /// experiment on the same runtime would silently corrupt its metrics
     /// — claiming twice throws LogicError instead.

@@ -754,6 +754,86 @@ TEST(HotPath, ReadoutBytesPinnedAcrossPlateFormats) {
     EXPECT_EQ(h, 0x274e0012350e4364ULL) << "readout digest " << std::hex << h;
 }
 
+TEST(HoughExtra, DetectionsPinnedForParamsTheReaderNeverUses) {
+    // Golden digest over hough_circles detections for radius bands and
+    // ROIs the plate reader never asks for: 2-6 and 15-40 px bands, and
+    // ROIs that cut circles, so votes fall off every side of the ROI and
+    // round into (-0.5, 0) at its first row and column. Grain noise gives
+    // the edges fractional gradient directions.
+    Image img(260, 200, {200, 200, 200});
+    fill_circle(img, {0.5, 100}, 20, {40, 40, 40});    // cut by the frame edge
+    fill_circle(img, {259, 12}, 30, {60, 60, 60});
+    fill_circle(img, {41, 31}, 18, {30, 30, 30});      // centered on a ROI corner
+    fill_circle(img, {130, 100}, 36, {50, 50, 50});
+    fill_ring(img, {130, 100}, 27, 22, {150, 150, 150});
+    fill_circle(img, {219.5, 150}, 24, {20, 20, 20});  // cut by the ROI's right edge
+    for (int i = 0; i < 12; ++i) {
+        fill_circle(img, {12.0 + 21.3 * i, 186.0 - (i % 3)}, 2.5 + 0.33 * (i % 10),
+                    {35, 35, 35});
+    }
+    GrayImage gray = to_gray(img);
+    Rng grain(211);
+    for (float& v : gray.values()) v += static_cast<float>(grain.normal(0.0, 0.01));
+
+    struct Case {
+        double r_min;
+        double r_max;
+        Rect roi;
+    };
+    const Case cases[] = {
+        {2.0, 6.0, {}},
+        {15.0, 40.0, {}},
+        {2.0, 6.0, {40, 30, 220, 170}},
+        {15.0, 40.0, {40, 30, 220, 170}},
+        {15.0, 40.0, {-20, -20, 131, 101}},
+        {2.5, 5.5, {0, 150, 260, 200}},
+    };
+    std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+    for (const Case& c : cases) {
+        HoughParams params;
+        params.r_min = c.r_min;
+        params.r_max = c.r_max;
+        params.roi = c.roi;
+        params.min_center_dist = c.r_min;
+        params.vote_fraction = 0.05;
+        params.min_votes = 3.0;
+        const auto circles = hough_circles(gray, params);
+        EXPECT_GE(circles.size(), 3u) << c.r_min << "-" << c.r_max;
+        h = fnv1a(h, circles.size());
+        for (const CircleDetection& d : circles) {
+            h = fnv1a(h, std::array{d.center.x, d.center.y, d.radius, d.votes});
+        }
+    }
+    EXPECT_EQ(h, 0xacd56824ab2c9fc3ULL) << "detection digest " << std::hex << h;
+}
+
+TEST(RendererExtra, SaturatingFrameBytesPinned) {
+    // Heavy noise and vignetting drive pixels past both ends of the 8-bit
+    // range, so this digest pins the sensor model's clamps at 0 and 255
+    // as well as its rounding.
+    PlateScene scene;
+    scene.noise_sigma = 60.0;
+    scene.vignette = 0.6;
+    std::vector<Rgb8> colors;
+    for (int i = 0; i < scene.geometry.well_count(); ++i) {
+        colors.push_back({static_cast<std::uint8_t>(i * 37), static_cast<std::uint8_t>(255 - i),
+                          static_cast<std::uint8_t>(i % 2 == 0 ? 250 : 5)});
+    }
+    Rng rng(307);
+    const Image frame = render_plate(scene, colors, rng);
+    std::size_t zeros = 0;
+    std::size_t full = 0;
+    std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+    for (const std::uint8_t b : frame.bytes()) {
+        zeros += b == 0 ? 1 : 0;
+        full += b == 255 ? 1 : 0;
+        h = fnv1a(h, b);
+    }
+    EXPECT_GT(zeros, 0u);
+    EXPECT_GT(full, 0u);
+    EXPECT_EQ(h, 0x47f2cc728ac79ce4ULL) << "frame digest " << std::hex << h;
+}
+
 TEST(HotPath, PlateReaderWrongCalibratedPoseFallsBackToFullScan) {
     // A calibrated pose far from the real marker must cost only speed:
     // the region scan misses, the full-frame scan takes over with the

@@ -86,6 +86,14 @@ void check_option_value(const std::string& key, const json::Value& value) {
         }
         return;
     }
+    if (key == "drift_per_frame") {
+        const double drift = value.as_double();
+        if (!(drift >= 0.0 && drift <= devices::kMaxDriftPerFrame)) {
+            static_assert(devices::kMaxDriftPerFrame == 0.01);
+            throw support::ConfigError(where + " must be in [0, 0.01]");
+        }
+        return;
+    }
     if (key.ends_with("_ml")) {
         if (value.as_double() <= 0.0) {
             throw support::ConfigError(where + " must be a positive capacity");

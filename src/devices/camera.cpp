@@ -12,6 +12,9 @@ CameraSim::CameraSim(CameraConfig config, wei::PlateRegistry& plates,
       plates_(plates),
       locations_(locations),
       rng_(config_.noise_seed) {
+    support::check(config_.drift_per_frame >= 0.0 &&
+                       config_.drift_per_frame <= kMaxDriftPerFrame,
+                   "camera drift_per_frame must be in [0, kMaxDriftPerFrame]");
     info_ = wei::ModuleInfo{
         "camera",
         "Logitech webcam + ring light",

@@ -21,6 +21,12 @@
 
 namespace sdl::devices {
 
+/// Upper bound on CameraConfig::drift_per_frame: 5x the largest drift the
+/// scenario generator draws (2e-3). It keeps the shading factor, and with
+/// it every pixel value the renderer rounds to an integer, finite and in
+/// range over any reachable frame count.
+inline constexpr double kMaxDriftPerFrame = 0.01;
+
 struct CameraConfig {
     imaging::PlateScene scene;  ///< geometry + nuisances; rows/cols follow the plate
     std::uint64_t noise_seed = 0xCA3E7A;
@@ -37,6 +43,7 @@ struct CameraConfig {
     /// Per-frame growth of the horizontal illumination gradient: the ring
     /// light warms up over a campaign, slowly tilting the shading the
     /// vision pipeline has to read colors through. Frame 1 is undrifted.
+    /// In [0, kMaxDriftPerFrame].
     double drift_per_frame = 0.0;
 };
 

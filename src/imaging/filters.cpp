@@ -38,9 +38,10 @@ void gaussian_blur(const GrayImage& img, double sigma, GrayImage& out,
     GrayImage& tmp = scratch.tmp;
 
     // Horizontal pass: clamped taps only where a tap actually leaves the
-    // row; interior pixels run a straight pointer walk. Tap order (k
-    // ascending) matches the naive loop, so every pixel carries the same
-    // bits.
+    // row. Interior pixels accumulate one weighted, shifted row per tap,
+    // which keeps the inner loop contiguous over x. Every pixel still adds
+    // its taps in ascending-k order from 0, as the naive loop does, so it
+    // carries the same bits.
     const int x_interior_end = width - radius;  // may be <= radius: loop skipped
     for (int y = 0; y < height; ++y) {
         const float* src = img.values().data() +
@@ -56,13 +57,14 @@ void gaussian_blur(const GrayImage& img, double sigma, GrayImage& out,
             }
             dst[x] = acc;
         }
-        for (; x < x_interior_end; ++x) {
-            float acc = 0.0F;
-            const float* in = src + x - radius;
+        if (x < x_interior_end) {
+            for (int i = x; i < x_interior_end; ++i) dst[i] = 0.0F;
             for (int k = 0; k <= 2 * radius; ++k) {
-                acc += kernel[static_cast<std::size_t>(k)] * in[k];
+                const float w = kernel[static_cast<std::size_t>(k)];
+                const int shift = k - radius;
+                for (int i = x; i < x_interior_end; ++i) dst[i] += w * src[i + shift];
             }
-            dst[x] = acc;
+            x = x_interior_end;
         }
         for (; x < width; ++x) {
             float acc = 0.0F;

@@ -80,67 +80,93 @@ std::vector<CircleDetection> hough_circles(const GrayImage& gray, const HoughPar
     }
     if (edges.empty()) return circles;
 
-    // Stage 1: center accumulator.
-    std::vector<float>& acc = scratch.acc;
-    acc.assign(static_cast<std::size_t>(rw) * static_cast<std::size_t>(rh), 0.0F);
+    // Stage 1: center accumulator. It is padded by ir_max + 2 cells on
+    // every side: a vote moves at most ir_max from an in-ROI edge, so
+    // every vote lands in bounds without a per-vote test, and smoothing
+    // reads only the ROI cells, so votes that fall outside the ROI are
+    // ignored. Per edge, one branch-free pass over the radii computes the
+    // cells of both signs (e.x + (-p) is bit-equal to e.x - p), and a
+    // second pass scatters the votes. Votes are integer-valued floats
+    // below 2^24, so the scatter order does not change any sum.
     const int ir_min = static_cast<int>(std::floor(params.r_min));
     const int ir_max = static_cast<int>(std::ceil(params.r_max));
+    const int pad = ir_max + 2;
+    const int stride = rw + 2 * pad;
+    std::vector<float>& acc = scratch.acc;
+    acc.assign(static_cast<std::size_t>(stride) * static_cast<std::size_t>(rh + 2 * pad),
+               0.0F);
+    float* const acc_roi = acc.data() + static_cast<std::size_t>(pad) *
+                                            static_cast<std::size_t>(stride) +
+                           static_cast<std::size_t>(pad);
+    const int radii = ir_max - ir_min + 1;
+    std::vector<std::int32_t>& cells = scratch.vote_cells;
+    cells.resize(2 * static_cast<std::size_t>(radii));
+    std::int32_t* const minus = cells.data();
+    std::int32_t* const plus = minus + radii;
     for (const Edge& e : edges) {
-        for (int r = ir_min; r <= ir_max; ++r) {
-            for (const int sign : {-1, 1}) {
-                const int cx = round_half_away(e.x + sign * r * e.dx);
-                const int cy = round_half_away(e.y + sign * r * e.dy);
-                if (cx < 0 || cx >= rw || cy < 0 || cy >= rh) continue;
-                acc[static_cast<std::size_t>(cy) * static_cast<std::size_t>(rw) +
-                    static_cast<std::size_t>(cx)] += 1.0F;
-            }
+        for (int i = 0; i < radii; ++i) {
+            const float r = static_cast<float>(ir_min + i);
+            const float px = r * e.dx;
+            const float py = r * e.dy;
+            minus[i] = round_half_away(e.y - py) * stride + round_half_away(e.x - px);
+            plus[i] = round_half_away(e.y + py) * stride + round_half_away(e.x + px);
         }
+        for (const std::int32_t c : cells) acc_roi[c] += 1.0F;
     }
 
     // Light 3x3 smoothing concentrates votes split between adjacent bins.
     // Separable (vertical then horizontal): every accumulator value is an
     // integer-valued float well below 2^24, so the box sums are exact and
     // identical to the direct 9-tap sum regardless of addition order.
+    const auto row_of = [rw](std::vector<float>& plane, int y) {
+        return plane.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(rw);
+    };
+    const std::size_t plane = static_cast<std::size_t>(rw) * static_cast<std::size_t>(rh);
     std::vector<float>& vsum = scratch.acc_vsum;
-    vsum.assign(acc.size(), 0.0F);
+    vsum.resize(plane);  // the smoothing never reads rows 0 and rh - 1
     for (int y = 1; y < rh - 1; ++y) {
-        const float* above = acc.data() + static_cast<std::size_t>(y - 1) * static_cast<std::size_t>(rw);
-        const float* here = above + static_cast<std::size_t>(rw);
-        const float* below = here + static_cast<std::size_t>(rw);
-        float* out = vsum.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(rw);
+        const float* above = acc_roi + static_cast<std::ptrdiff_t>(y - 1) * stride;
+        const float* here = above + stride;
+        const float* below = here + stride;
+        float* out = row_of(vsum, y);
         for (int x = 0; x < rw; ++x) out[x] = above[x] + here[x] + below[x];
     }
     std::vector<float>& smooth_acc = scratch.smooth_acc;
-    smooth_acc.assign(acc.size(), 0.0F);
+    smooth_acc.assign(plane, 0.0F);
     for (int y = 1; y < rh - 1; ++y) {
-        const float* src = vsum.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(rw);
-        float* out = smooth_acc.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(rw);
+        const float* src = row_of(vsum, y);
+        float* out = row_of(smooth_acc, y);
         for (int x = 1; x < rw - 1; ++x) {
             out[x] = (src[x - 1] + src[x] + src[x + 1]) / 9.0F;
         }
     }
 
-    // Collect local maxima.
+    // Collect local maxima: cells that no neighbour exceeds, i.e. cells
+    // equal to the maximum of their 3x3 window (the zero border counts as
+    // neighbours). The window maximum is separable, row maxima in vsum's
+    // storage and then the maximum of three of them, so both passes are
+    // branch-free and only the rare peaks take a branch.
     using Peak = HoughScratch::Peak;
     std::vector<Peak>& peaks = scratch.peaks;
     peaks.clear();
     float strongest = 0.0F;
-    for (int y = 1; y < rh - 1; ++y) {
+    std::vector<float>& row_max = vsum;
+    for (int y = 0; y < rh; ++y) {
+        const float* src = row_of(smooth_acc, y);
+        float* out = row_of(row_max, y);
         for (int x = 1; x < rw - 1; ++x) {
-            const float v = smooth_acc[static_cast<std::size_t>(y) * static_cast<std::size_t>(rw) +
-                                       static_cast<std::size_t>(x)];
-            if (v < params.min_votes) continue;
-            bool is_max = true;
-            for (int dy = -1; dy <= 1 && is_max; ++dy) {
-                for (int dx = -1; dx <= 1 && is_max; ++dx) {
-                    if (dx == 0 && dy == 0) continue;
-                    const float n =
-                        smooth_acc[static_cast<std::size_t>(y + dy) * static_cast<std::size_t>(rw) +
-                                   static_cast<std::size_t>(x + dx)];
-                    if (n > v) is_max = false;
-                }
-            }
-            if (is_max) {
+            out[x] = std::max(std::max(src[x - 1], src[x]), src[x + 1]);
+        }
+    }
+    for (int y = 1; y < rh - 1; ++y) {
+        const float* src = row_of(smooth_acc, y);
+        const float* above = row_of(row_max, y - 1);
+        const float* here = above + rw;
+        const float* below = here + rw;
+        for (int x = 1; x < rw - 1; ++x) {
+            const float v = src[x];
+            const float window_max = std::max(std::max(above[x], here[x]), below[x]);
+            if ((v >= window_max) & (v >= params.min_votes)) {
                 peaks.push_back({x, y, v});
                 strongest = std::max(strongest, v);
             }

@@ -62,8 +62,12 @@ struct HoughScratch {
     Gradients grad;
     std::vector<Edge> edges;
     std::vector<Peak> peaks;
+    /// Center votes over the ROI padded by ir_max + 2 cells on each side.
     std::vector<float> acc;
-    std::vector<float> acc_vsum;  ///< vertical pass of the vote smoothing
+    /// One edge's accumulator cells, both signs of every radius.
+    std::vector<std::int32_t> vote_cells;
+    /// Vertical pass of the vote smoothing, then the peak scan's row maxima.
+    std::vector<float> acc_vsum;
     std::vector<float> smooth_acc;
     std::vector<int> radius_hist;
     /// Uniform spatial grid over the edge list (CSR layout) so radius

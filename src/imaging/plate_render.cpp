@@ -5,21 +5,11 @@
 #include <cstdint>
 
 #include "imaging/draw.hpp"
-#include "linalg/fastmath.hpp"
 #include "support/common.hpp"
 
 namespace sdl::imaging {
 
 namespace {
-
-std::uint8_t shade(std::uint8_t value, double factor, double noise) noexcept {
-    const double v = value * factor + noise;
-    // Three roundings per pixel: the libm lround call cost used to
-    // dominate the whole sensor pass. See fastmath.hpp for
-    // round_half_away's (documented, tolerated) boundary behavior.
-    const long q = linalg::round_half_away(v);
-    return static_cast<std::uint8_t>(q < 0 ? 0 : (q > 255 ? 255 : q));
-}
 
 /// Plate body: a quadrilateral covering the well block plus a margin.
 void draw_plate_body(Image& img, const PlateScene& scene, const std::vector<Vec2>& centers) {
@@ -67,11 +57,13 @@ constexpr std::uint64_t kFracMask = (std::uint64_t{1} << kFracBits) - 1;
 constexpr double kInvSqrt2Pi = 0.39894228040143267794;  // φ(0)
 
 /// One inverse-CDF cell in slope-intercept form: a field with cell bits i
-/// and in-cell offset k maps to z0 + dz * k. Floats keep the table at 32 KB
-/// (L1-resident) and absorb most last-ulp libm differences in its build.
+/// and in-cell offset k maps to z0 + dz * k. Both values are rounded to
+/// float, which absorbs most last-ulp libm differences in the table's
+/// build, and stored widened to double (exact), so a sample needs no
+/// conversion.
 struct NormalCell {
-    float z0;
-    float dz;
+    double z0;
+    double dz;
 };
 
 /// SplitMix64's output function at counter position `n` from state `key`:
@@ -132,31 +124,30 @@ const NormalCell* normal_table() {
     return table.data();
 }
 
-/// Standard normal for one 21-bit field.
-double field_normal(const NormalCell* table, std::uint64_t field) noexcept {
-    const NormalCell& cell = table[field >> kFracBits];
-    return static_cast<double>(cell.z0) +
-           static_cast<double>(cell.dz) * static_cast<double>(field & kFracMask);
-}
-
-/// Sensor model: illumination shading and Gaussian noise. The per-column
-/// gradient/vignette terms are precomputed once per frame; per pixel the
-/// factor combines them with the exact expression the scalar
-/// illumination() helper used, so the shading bits are unchanged. The
-/// frame's noise key is the one draw this makes from `rng`.
+/// Sensor model: illumination shading and Gaussian noise, one row at a
+/// time in two passes. The first is scalar: per pixel, one mix gives the
+/// three channels' noise through table lookups, and the shading factor
+/// combines the per-column gradient/vignette terms (precomputed once per
+/// frame) in the order the scalar illumination() helper used, so the
+/// shading bits are unchanged; each channel becomes value * factor +
+/// noise. The second is one flat, branch-free pass over the row's bytes
+/// that rounds half up and clamps to [0, 255] in integers. For v >= 0
+/// that is round-half-away-from-zero, and a negative v becomes 0 either
+/// way. The frame's noise key is the one draw this makes from `rng`.
 void apply_sensor_model(Image& img, const PlateScene& scene, support::Rng& rng) {
     const auto width = static_cast<std::size_t>(scene.width);
-    std::vector<double> nx(width);
+    std::vector<double> column_gradient(width);
     std::vector<double> nx2(width);
     for (std::size_t x = 0; x < width; ++x) {
-        nx[x] = static_cast<double>(x) / scene.width - 0.5;
-        nx2[x] = nx[x] * nx[x];
+        const double nx = static_cast<double>(x) / scene.width - 0.5;
+        column_gradient[x] = 1.0 + scene.illum_gradient.x * nx;
+        nx2[x] = nx * nx;
     }
-    const double gx = scene.illum_gradient.x;
     const double gy = scene.illum_gradient.y;
     const double sigma = scene.noise_sigma;
     const std::uint64_t key = rng.next();
     const NormalCell* table = normal_table();
+    std::vector<double> values(3 * width);
     std::uint8_t* bytes = img.bytes().data();
     for (int y = 0; y < scene.height; ++y) {
         const double ny = static_cast<double>(y) / scene.height - 0.5;
@@ -165,16 +156,21 @@ void apply_sensor_model(Image& img, const PlateScene& scene, support::Rng& rng) 
         const std::size_t row_start = static_cast<std::size_t>(y) * width;
         std::uint8_t* row = bytes + 3 * row_start;
         for (std::size_t x = 0; x < width; ++x) {
-            const double gradient = 1.0 + gx * nx[x] + gy_ny;
+            const double gradient = column_gradient[x] + gy_ny;
             const double r2 = (nx2[x] + ny2) / 0.5;  // 1.0 at frame corners
             const double factor = gradient * (1.0 - scene.vignette * r2);
             const std::uint64_t bits = noise_bits(key, row_start + x);
-            std::uint8_t* px = row + 3 * x;
-            px[0] = shade(px[0], factor, sigma * field_normal(table, bits & kFieldMask));
-            px[1] = shade(px[1], factor,
-                          sigma * field_normal(table, (bits >> kFieldBits) & kFieldMask));
-            px[2] = shade(px[2], factor,
-                          sigma * field_normal(table, (bits >> (2 * kFieldBits)) & kFieldMask));
+            for (std::size_t c = 0; c < 3; ++c) {
+                const std::uint64_t field = (bits >> (c * kFieldBits)) & kFieldMask;
+                const NormalCell& cell = table[field >> kFracBits];
+                const double noise =
+                    sigma * (cell.z0 + cell.dz * static_cast<double>(field & kFracMask));
+                values[3 * x + c] = row[3 * x + c] * factor + noise;
+            }
+        }
+        for (std::size_t i = 0; i < 3 * width; ++i) {
+            const int q = static_cast<int>(values[i] + 0.5);
+            row[i] = static_cast<std::uint8_t>(q < 0 ? 0 : (q > 255 ? 255 : q));
         }
     }
 }

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <span>
 
@@ -114,11 +115,18 @@ inline void rbf_from_sq_dist(Matrix& d2, double signal_var, double lengthscale) 
 /// .5 boundary can land one integer over (e.g. nextafterf(0.5f, 0) -> 1
 /// where lround gives 0). Callers tolerate that by design; do not swap
 /// std::lround back in expecting unchanged output.
+///
+/// Adding copysign(0.5, v) gives the same bits as the sign test
+/// `v >= 0 ? v + 0.5 : v - 0.5` for every finite v in range: x + (-0.5)
+/// is exactly x - 0.5, and -0.0 rounds to 0 either way. Unlike the sign
+/// test, it has no compare-and-select, so loops that call it vectorize
+/// under GCC's default -ftrapping-math. The result must fit the return
+/// type: out-of-range inputs are undefined behaviour.
 [[nodiscard]] inline int round_half_away(float v) noexcept {
-    return static_cast<int>(v >= 0.0F ? v + 0.5F : v - 0.5F);
+    return static_cast<int>(v + std::copysign(0.5F, v));
 }
 [[nodiscard]] inline long round_half_away(double v) noexcept {
-    return static_cast<long>(v >= 0.0 ? v + 0.5 : v - 0.5);
+    return static_cast<long>(v + std::copysign(0.5, v));
 }
 
 }  // namespace sdl::linalg

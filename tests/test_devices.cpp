@@ -608,6 +608,20 @@ TEST(Camera, GlitchSequenceIndependentOfPlateFormat) {
     EXPECT_LT(glitches, 12);
 }
 
+TEST(Camera, RejectsDriftOutsideItsBound) {
+    TestWorkcell cell;
+    for (const double drift : {-1e-3, kMaxDriftPerFrame * 1.01, 1e300}) {
+        CameraConfig config;
+        config.drift_per_frame = drift;
+        EXPECT_THROW((void)CameraSim(config, cell.plates, cell.locations),
+                     sdl::support::LogicError)
+            << drift;
+    }
+    CameraConfig config;
+    config.drift_per_frame = kMaxDriftPerFrame;
+    EXPECT_NO_THROW((void)CameraSim(config, cell.plates, cell.locations));
+}
+
 TEST(Camera, IsNotARoboticModule) {
     TestWorkcell cell;
     EXPECT_FALSE(cell.camera->info().robotic);

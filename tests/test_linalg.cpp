@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/fastmath.hpp"
@@ -205,6 +206,73 @@ TEST(FastMath, VexpBitwiseMatchesScalarFastExp) {
     std::vector<double> inplace = xs;
     vexp(inplace, inplace);
     EXPECT_EQ(inplace, out);
+}
+
+namespace {
+
+/// round_half_away's earlier sign-test form, the oracle for the
+/// branch-free one.
+int sign_test_round(float v) { return static_cast<int>(v >= 0.0F ? v + 0.5F : v - 0.5F); }
+long sign_test_round(double v) { return static_cast<long>(v >= 0.0 ? v + 0.5 : v - 0.5); }
+
+}  // namespace
+
+TEST(FastMath, RoundHalfAwayMatchesSignTestForm) {
+    std::vector<float> fs = {0.0F,          -0.0F,          0.49999997F,    -0.49999997F,
+                             8388607.5F,    -8388607.5F,    8388609.0F,     16777216.0F,
+                             -16777216.0F,  1073741824.0F,  2147483520.0F,  -2147483520.0F,
+                             -2147483648.0F};
+    // ±k.5 and their neighbours on both sides.
+    for (int k = 0; k < 4096; ++k) {
+        for (const float sign : {1.0F, -1.0F}) {
+            const float half = sign * (static_cast<float>(k) + 0.5F);
+            fs.push_back(half);
+            fs.push_back(std::nextafter(half, 0.0F));
+            fs.push_back(std::nextafter(half, sign * 1e30F));
+            fs.push_back(sign * static_cast<float>(k));
+        }
+    }
+    // The (-1.5, 0) band: accumulator padding lets votes that round into
+    // it through, so walk it densely by bit pattern.
+    const auto neg_zero = std::bit_cast<std::uint32_t>(-0.0F);
+    for (std::uint32_t bits = neg_zero; bits < std::bit_cast<std::uint32_t>(-1.5F);
+         bits += 613) {
+        fs.push_back(std::bit_cast<float>(bits));
+    }
+    // Random patterns over every magnitude below 2^31.
+    Rng rng(73);
+    while (fs.size() < 2'000'000) {
+        const float v = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next()));
+        if (std::abs(v) < 2147483648.0F) fs.push_back(v);
+    }
+    for (const float v : fs) {
+        ASSERT_EQ(round_half_away(v), sign_test_round(v)) << std::hexfloat << v;
+    }
+    EXPECT_EQ(round_half_away(2.5F), 3);
+    EXPECT_EQ(round_half_away(-2.5F), -3);
+    EXPECT_EQ(round_half_away(-0.4F), 0);
+    EXPECT_EQ(round_half_away(-1.4999999F), -1);
+
+    // The double overload, over the same kinds of inputs.
+    std::vector<double> ds = {0.0, -0.0, 4503599627370495.5, -4503599627370495.5,
+                              9007199254740993.0, 4611686018427387904.0,
+                              -4611686018427387904.0};
+    for (int k = 0; k < 4096; ++k) {
+        for (const double sign : {1.0, -1.0}) {
+            const double half = sign * (k + 0.5);
+            ds.insert(ds.end(), {half, std::nextafter(half, 0.0),
+                                 std::nextafter(half, sign * 1e300), sign * k});
+        }
+    }
+    while (ds.size() < 200'000) {
+        const double v = std::bit_cast<double>(rng.next());
+        if (std::abs(v) < 9.2e18) ds.push_back(v);
+    }
+    for (const double v : ds) {
+        ASSERT_EQ(round_half_away(v), sign_test_round(v)) << std::hexfloat << v;
+    }
+    EXPECT_EQ(round_half_away(-2.5), -3L);
+    EXPECT_EQ(round_half_away(-0.0), 0L);
 }
 
 namespace {

@@ -175,6 +175,20 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
                      "workcell:\n  name: x\ndevices:\n"
                      "  - kind: ot2\n    reservoir_capacity_ml: -1\n  - kind: camera\n"),
                  support::ConfigError);
+    // Ring-light drift is bounded: a huge drift would push the renderer's
+    // shading factor (and the pixel values it rounds) out of range.
+    const auto camera_drift = [](const char* drift) {
+        return workcell_spec_from_yaml(std::string("workcell:\n  name: x\ndevices:\n"
+                                                   "  - kind: ot2\n  - kind: camera\n"
+                                                   "    drift_per_frame: ") +
+                                       drift + "\n");
+    };
+    EXPECT_THROW((void)camera_drift("1e300"), support::ConfigError);
+    EXPECT_THROW((void)camera_drift("0.0101"), support::ConfigError);
+    EXPECT_THROW((void)camera_drift("-0.001"), support::ConfigError);
+    const WorkcellSpec drifting = camera_drift("0.002");
+    EXPECT_DOUBLE_EQ(drifting.devices[1].options.at("drift_per_frame").as_double(), 0.002);
+    EXPECT_NO_THROW((void)camera_drift("0.01"));
     // Custom instance names would strand the module (workflows address
     // modules by kind name), so they are rejected loudly.
     EXPECT_THROW((void)workcell_spec_from_yaml("workcell:\n  name: x\ndevices:\n"

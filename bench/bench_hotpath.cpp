@@ -1,8 +1,9 @@
 // Hot-path microbenchmark + perf trajectory recorder.
 //
 // Times the two kernels that bound campaign scale — GP candidate scoring
-// (solver/bayes.hpp) and the per-frame vision pipeline (imaging/), with
-// a per-stage sheet — against the frozen PR-4 reference, and writes
+// (building the solver::PoolPosterior that BayesSolver::ask scores
+// with, solver/bayes.hpp) and the per-frame vision pipeline (imaging/),
+// with a per-stage sheet — against the frozen PR-4 reference, and writes
 // BENCH_hotpath.json. End-to-end closed-loop timing lives in
 // campaignbench/. CI compares that file against the committed
 // baseline (bench/baselines/BENCH_hotpath.baseline.json) with
@@ -61,11 +62,7 @@ struct GpRow {
     std::size_t candidates = 0;
     double prepr_ns = 0.0;       ///< per candidate, frozen PR-4 predict loop
     double sequential_ns = 0.0;  ///< per candidate, current predict() loop
-    double batch_ns = 0.0;       ///< per candidate, score_candidate_pool
-    /// Per candidate, building a PoolPosterior over the pool — what
-    /// BayesSolver::ask scores with (it also keeps k and L^-1 k for the
-    /// constant-liar updates). Informational, not gated.
-    double posterior_ns = 0.0;
+    double batch_ns = 0.0;       ///< per candidate, building a PoolPosterior
     double speedup = 0.0;        ///< prepr -> batch
     double speedup_vs_sequential = 0.0;
 };
@@ -106,10 +103,6 @@ GpRow bench_gp(std::size_t n, std::size_t candidates, int reps) {
         }
     });
     const double batch_s = time_per_call(reps, [&] {
-        const auto preds = solver::score_candidate_pool(gp, pool);
-        sink += preds.front().mean + preds.back().variance;
-    });
-    const double posterior_s = time_per_call(reps, [&] {
         const solver::PoolPosterior posterior(gp, pool);
         const auto pred = posterior.prediction(candidates - 1);
         sink += pred.mean + pred.variance;
@@ -122,7 +115,6 @@ GpRow bench_gp(std::size_t n, std::size_t candidates, int reps) {
     row.prepr_ns = prepr_s * 1e9 / static_cast<double>(candidates);
     row.sequential_ns = seq_s * 1e9 / static_cast<double>(candidates);
     row.batch_ns = batch_s * 1e9 / static_cast<double>(candidates);
-    row.posterior_ns = posterior_s * 1e9 / static_cast<double>(candidates);
     row.speedup = row.batch_ns > 0.0 ? row.prepr_ns / row.batch_ns : 0.0;
     row.speedup_vs_sequential =
         row.batch_ns > 0.0 ? row.sequential_ns / row.batch_ns : 0.0;
@@ -288,7 +280,7 @@ int main(int argc, char** argv) {
 
     // GP scoring across training-set and pool sizes.
     std::vector<GpRow> gp_rows;
-    std::printf("\n[GP posterior scoring] PR-4 predict loop vs batched scoring:\n");
+    std::printf("\n[GP posterior scoring] PR-4 predict loop vs PoolPosterior:\n");
     {
         support::TextTable table({"n (obs)", "C (candidates)", "PR4 ns/pt", "seq ns/pt",
                                   "batch ns/pt", "speedup vs PR4"});
@@ -348,7 +340,6 @@ int main(int argc, char** argv) {
         entry.set("prepr_ns_per_predict", row.prepr_ns);
         entry.set("sequential_ns_per_predict", row.sequential_ns);
         entry.set("batch_ns_per_predict", row.batch_ns);
-        entry.set("posterior_ns_per_predict", row.posterior_ns);
         entry.set("speedup_vs_prepr", row.speedup);
         entry.set("speedup_vs_sequential", row.speedup_vs_sequential);
         gp.push_back(std::move(entry));

@@ -56,19 +56,20 @@ void tiled_lower_sweep(const Matrix& l, Matrix& b, std::span<const double> weigh
         const std::size_t tile = std::min(kTile, m - j0);
         for (std::size_t i = 0; i < n; ++i) {
             double* row_i = b.row(i).data() + j0;
-            // Row i still holds the original right-hand sides here.
-            const double wi = weights[i];
-            double* wsum = weighted_sums.data() + j0;
-            for (std::size_t j = 0; j < tile; ++j) wsum[j] += row_i[j] * wi;
             for (std::size_t k = 0; k < i; ++k) {
                 const double lik = l(i, k);
                 const double* row_k = b.row(k).data() + j0;
                 for (std::size_t j = 0; j < tile; ++j) row_i[j] -= lik * row_k[j];
             }
             const double lii = l(i, i);
-            for (std::size_t j = 0; j < tile; ++j) row_i[j] /= lii;
+            const double wi = weights[i];
+            double* wsum = weighted_sums.data() + j0;
             double* sq = sq_norms.data() + j0;
-            for (std::size_t j = 0; j < tile; ++j) sq[j] += row_i[j] * row_i[j];
+            for (std::size_t j = 0; j < tile; ++j) {
+                row_i[j] /= lii;
+                wsum[j] += row_i[j] * wi;
+                sq[j] += row_i[j] * row_i[j];
+            }
         }
     }
 }

@@ -35,16 +35,15 @@ public:
     /// solve_lower cannot. Every column's result is bitwise identical
     /// to solve_lower on that column: per element the same multiplies
     /// and subtractions run in the same order, only interleaved across
-    /// columns. The sweep is fused with the two reductions GP batch
-    /// prediction needs, all in one pass over `b`:
-    ///   weighted_sums[j] = sum_i weights[i] * B_original(i, j)
-    ///     (accumulated before row i is overwritten — for the GP this is
-    ///      the posterior mean k_*^T alpha),
+    /// columns. The sweep is fused with the two reductions GP scoring
+    /// needs, both accumulated as row i of Y is finished:
+    ///   weighted_sums[j] = sum_i weights[i] * Y(i, j)
+    ///     (for the GP, v = L^-1 k_* against w = L^-1 y: the posterior
+    ///      mean),
     ///   sq_norms[j]      = sum_i Y(i, j)^2
-    ///     (accumulated as row i is finished — for the GP this is the
-    ///      variance reduction |L^-1 k_*|^2).
-    /// Both reductions accumulate in ascending-row order, matching
-    /// dot(b, weights) and dot(y, y) bitwise. Spans must have size m.
+    ///     (the variance reduction |L^-1 k_*|^2).
+    /// Both run in ascending-row order, matching dot(y, weights) and
+    /// dot(y, y) bitwise. Spans must have size m.
     void solve_lower_multi_fused(Matrix& b, std::span<const double> weights,
                                  std::span<double> weighted_sums,
                                  std::span<double> sq_norms) const;

@@ -105,6 +105,12 @@ Matrix& Matrix::operator*=(double k) noexcept {
     return *this;
 }
 
+void Matrix::append_row(std::span<const double> row) {
+    support::check(row.size() == cols_, "append_row: size mismatch");
+    data_.insert(data_.end(), row.begin(), row.end());
+    ++rows_;
+}
+
 void Matrix::add_diagonal(double value) noexcept {
     const std::size_t n = rows_ < cols_ ? rows_ : cols_;
     for (std::size_t i = 0; i < n; ++i) (*this)(i, i) += value;

@@ -66,6 +66,9 @@ public:
     Matrix& operator-=(const Matrix& other);
     Matrix& operator*=(double k) noexcept;
 
+    /// Appends one row; its size must equal cols().
+    void append_row(std::span<const double> row);
+
     /// Adds `value` to every diagonal entry (ridge / jitter).
     void add_diagonal(double value) noexcept;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 #include <numbers>
-#include <type_traits>
 
 #include "linalg/fastmath.hpp"
 #include "linalg/matrix.hpp"
@@ -51,8 +50,8 @@ linalg::Matrix GaussianProcess::kernel_matrix(const Hyperparams& p) const {
 }
 
 double GaussianProcess::lml_terms(const linalg::Cholesky& chol,
-                                  const linalg::Vec& alpha) const {
-    const double fit_term = linalg::dot(ys_std_, alpha);
+                                  const linalg::Vec& w) const {
+    const double fit_term = linalg::dot(w, w);
     return -0.5 * fit_term - 0.5 * chol.log_det() -
            0.5 * static_cast<double>(xs_.size()) * std::log(2.0 * std::numbers::pi);
 }
@@ -60,7 +59,7 @@ double GaussianProcess::lml_terms(const linalg::Cholesky& chol,
 void GaussianProcess::factorize(const Hyperparams& p) {
     chol_ = std::make_unique<linalg::Cholesky>(
         linalg::cholesky_with_jitter(kernel_matrix(p)));
-    alpha_ = chol_->solve(ys_std_);
+    w_ = chol_->solve_lower(ys_std_);
     params_ = p;
 }
 
@@ -73,14 +72,14 @@ bool same_params(const GaussianProcess::Hyperparams& a,
 }  // namespace
 
 double GaussianProcess::log_marginal_likelihood(const Hyperparams& p) const {
-    // At the fitted hyperparameters the factor and K⁻¹y are already in
+    // At the fitted hyperparameters the factor and w are already in
     // hand; evaluating the LML there must not rebuild the kernel matrix.
     if (chol_ != nullptr && chol_->size() == xs_.size() && same_params(p, params_)) {
-        return lml_terms(*chol_, alpha_);
+        return lml_terms(*chol_, w_);
     }
     const linalg::Cholesky chol =
         linalg::cholesky_with_jitter(kernel_matrix(p));
-    return lml_terms(chol, chol.solve(ys_std_));
+    return lml_terms(chol, chol.solve_lower(ys_std_));
 }
 
 bool GaussianProcess::observe(std::vector<double> x, double y) {
@@ -102,13 +101,23 @@ bool GaussianProcess::observe(std::vector<double> x, double y) {
         factorize(params_);
         return false;
     }
-    alpha_ = chol_->solve(ys_std_);
+    // w's new entry by the forward-solve recurrence on the factor's new
+    // row; the leading n entries stand, since extend() keeps L's leading
+    // block and the standardization is frozen.
+    const linalg::Matrix& l = chol_->lower();
+    double s = ys_std_.back();
+    for (std::size_t k = 0; k < n; ++k) s -= l(n, k) * w_[k];
+    w_.push_back(s / l(n, n));
     return true;
 }
 
 void GaussianProcess::fit(std::vector<std::vector<double>> xs, std::vector<double> ys,
                           bool optimize) {
     support::check(xs.size() == ys.size() && !xs.empty(), "GP fit: shape mismatch");
+    support::check(std::ranges::all_of(xs, [&](const std::vector<double>& x) {
+                       return x.size() == xs.front().size();
+                   }),
+                   "GP fit: ragged training rows");
     xs_ = std::move(xs);
     ys_raw_ = std::move(ys);
 
@@ -129,31 +138,30 @@ void GaussianProcess::fit(std::vector<std::vector<double>> xs, std::vector<doubl
     // The previous fit's factor describes other data; drop it so the LML
     // fast path cannot reuse it by accident during the grid search.
     chol_.reset();
-    alpha_.clear();
+    w_.clear();
 
     if (!optimize) {
         factorize(params_);
         return;
     }
     // Grid-search hyperparameters by LML, keeping the winning candidate's
-    // factor and K⁻¹y so the chosen kernel matrix is factored exactly
-    // once — the old flow re-factorized the winner from scratch.
+    // factor and w so the chosen kernel matrix is factored exactly once.
     double best_lml = -1e300;
     Hyperparams best = params_;
     std::unique_ptr<linalg::Cholesky> best_chol;
-    linalg::Vec best_alpha;
+    linalg::Vec best_w;
     for (const double lengthscale : {0.15, 0.3, 0.6, 1.2}) {
         for (const double noise : {1e-3, 1e-2, 1e-1}) {
             const Hyperparams p{lengthscale, noise, 1.0};
             auto chol = std::make_unique<linalg::Cholesky>(
                 linalg::cholesky_with_jitter(kernel_matrix(p)));
-            linalg::Vec alpha = chol->solve(ys_std_);
-            const double lml = lml_terms(*chol, alpha);
+            linalg::Vec w = chol->solve_lower(ys_std_);
+            const double lml = lml_terms(*chol, w);
             if (lml > best_lml) {
                 best_lml = lml;
                 best = p;
                 best_chol = std::move(chol);
-                best_alpha = std::move(alpha);
+                best_w = std::move(w);
             }
         }
     }
@@ -162,7 +170,7 @@ void GaussianProcess::fit(std::vector<std::vector<double>> xs, std::vector<doubl
         return;
     }
     chol_ = std::move(best_chol);
-    alpha_ = std::move(best_alpha);
+    w_ = std::move(best_w);
     params_ = best;
 }
 
@@ -184,32 +192,13 @@ GaussianProcess::Prediction GaussianProcess::unstandardize(double mean_std,
 
 GaussianProcess::Prediction GaussianProcess::predict(std::span<const double> x) const {
     support::check(fitted(), "GP predict before fit");
+    support::check(x.size() == xs_.front().size(), "GP predict: dimension mismatch");
     const std::size_t n = xs_.size();
     linalg::Vec kx(n);
     for (std::size_t i = 0; i < n; ++i) kx[i] = kernel(xs_[i], x, params_);
 
-    const double mean_std = linalg::dot(kx, alpha_);
     const linalg::Vec v = chol_->solve_lower(kx);
-    return unstandardize(mean_std, linalg::dot(v, v));
-}
-
-std::vector<GaussianProcess::Prediction> GaussianProcess::predict_batch(
-    const linalg::Matrix& x) const {
-    support::check(fitted(), "GP predict before fit");
-    support::check(x.cols() == xs_.front().size(),
-                   "GP predict_batch: dimension mismatch");
-    const std::size_t m = x.rows();
-    std::vector<Prediction> out(m);
-    if (m == 0) return out;
-
-    // Column j = k(train, x_j); one fused sweep then runs the multi-RHS
-    // forward substitution plus the mean and |L^-1 k_*|^2 reductions.
-    linalg::Matrix kx = cross_kernel(x);
-    linalg::Vec mean_std(m);
-    linalg::Vec sq_norm(m);
-    chol_->solve_lower_multi_fused(kx, alpha_, mean_std, sq_norm);
-    for (std::size_t j = 0; j < m; ++j) out[j] = unstandardize(mean_std[j], sq_norm[j]);
-    return out;
+    return unstandardize(linalg::dot(v, w_), linalg::dot(v, v));
 }
 
 namespace {
@@ -221,44 +210,7 @@ namespace {
 constexpr std::size_t kParallelWork = 262'144;
 constexpr std::size_t kChunk = 64;
 
-/// Runs `score` over the rows of `pool` against a GP of n points: one
-/// call on the whole pool, or, with enough work, one call per 64-row
-/// chunk across support::global_pool(). Results come back in row order.
-template <typename Score>
-auto map_pool_chunks(std::size_t n, const linalg::Matrix& pool, Score&& score) {
-    using Result = std::invoke_result_t<Score&, const linalg::Matrix&>;
-    const std::size_t candidates = pool.rows();
-    const std::size_t dims = pool.cols();
-    if (candidates <= kChunk || n * n * candidates < kParallelWork) {
-        std::vector<Result> whole;
-        whole.push_back(score(pool));
-        return whole;
-    }
-    const std::size_t chunks = (candidates + kChunk - 1) / kChunk;
-    return support::global_pool().parallel_map(chunks, [&](std::size_t chunk_index) {
-        const std::size_t begin = chunk_index * kChunk;
-        const std::size_t end = std::min(candidates, begin + kChunk);
-        linalg::Matrix block(end - begin, dims);
-        for (std::size_t c = begin; c < end; ++c) {
-            const std::span<const double> src = pool.row(c);
-            const std::span<double> dst = block.row(c - begin);
-            for (std::size_t k = 0; k < dims; ++k) dst[k] = src[k];
-        }
-        return score(block);
-    });
-}
-
 }  // namespace
-
-std::vector<GaussianProcess::Prediction> score_candidate_pool(
-    const GaussianProcess& gp, const linalg::Matrix& pool) {
-    auto chunked = map_pool_chunks(
-        gp.size(), pool, [&](const linalg::Matrix& block) { return gp.predict_batch(block); });
-    std::vector<GaussianProcess::Prediction> preds;
-    preds.reserve(pool.rows());
-    for (auto& block : chunked) preds.insert(preds.end(), block.begin(), block.end());
-    return preds;
-}
 
 // ---------------------------------------------------------- PoolPosterior
 
@@ -274,28 +226,39 @@ void PoolPosterior::rescore() {
     const GaussianProcess& gp = *gp_;
     n_ = gp.size();
     const std::size_t m = pool_.rows();
+    // Each block reduces into sums of its own: chunks writing into shared
+    // arrays would share the cache lines at their boundaries.
     struct Block {
-        linalg::Matrix k;
-        linalg::Matrix v;
+        linalg::Matrix v;  ///< k(train, rows), solved in place to L⁻¹k
         linalg::Vec mean_std;
         linalg::Vec sq_norm;
     };
-    const auto blocks = map_pool_chunks(n_, pool_, [&](const linalg::Matrix& x) {
-        Block b{gp.cross_kernel(x), {}, linalg::Vec(x.rows()), linalg::Vec(x.rows())};
-        b.v = b.k;
-        gp.chol_->solve_lower_multi_fused(b.v, gp.alpha_, b.mean_std, b.sq_norm);
+    const auto score = [&](const linalg::Matrix& x) {
+        Block b{gp.cross_kernel(x), linalg::Vec(x.rows()), linalg::Vec(x.rows())};
+        gp.chol_->solve_lower_multi_fused(b.v, gp.w_, b.mean_std, b.sq_norm);
         return b;
-    });
-    k_.assign(n_ * m, 0.0);
-    v_.assign(n_ * m, 0.0);
+    };
+    // One blocked pass on the whole pool, or, with enough work, one per
+    // 64-row chunk across support::global_pool(), in row order.
+    std::vector<Block> blocks;
+    if (m <= kChunk || n_ * n_ * m < kParallelWork) {
+        blocks.push_back(score(pool_));
+    } else {
+        blocks = support::global_pool().parallel_map(
+            (m + kChunk - 1) / kChunk, [&](std::size_t chunk) {
+                const std::size_t begin = chunk * kChunk;
+                linalg::Matrix x(std::min(m, begin + kChunk) - begin, pool_.cols());
+                for (std::size_t c = 0; c < x.rows(); ++c) {
+                    std::ranges::copy(pool_.row(begin + c), x.row(c).begin());
+                }
+                return score(x);
+            });
+    }
+    v_.clear();
     mean_std_.clear();
     sq_norm_.clear();
-    for (const Block& b : blocks) {
-        const std::size_t col0 = mean_std_.size();
-        for (std::size_t i = 0; i < n_; ++i) {
-            std::copy_n(b.k.row(i).data(), b.k.cols(), k_.data() + i * m + col0);
-            std::copy_n(b.v.row(i).data(), b.v.cols(), v_.data() + i * m + col0);
-        }
+    for (Block& b : blocks) {
+        v_.push_back(std::move(b.v));
         mean_std_.insert(mean_std_.end(), b.mean_std.begin(), b.mean_std.end());
         sq_norm_.insert(sq_norm_.end(), b.sq_norm.begin(), b.sq_norm.end());
     }
@@ -308,7 +271,6 @@ void PoolPosterior::update(bool extended) {
         return;
     }
     support::check(gp.size() == n_ + 1, "PoolPosterior::update: one observe() per update");
-    const std::size_t m = pool_.rows();
     const std::size_t n = n_;
 
     // Row n of the extended GP's cross-kernel: the new point against the
@@ -318,35 +280,34 @@ void PoolPosterior::update(bool extended) {
     std::copy(x.begin(), x.end(), point.row(0).begin());
     linalg::Matrix k_row = linalg::cross_sq_dist(point, pool_);
     linalg::rbf_from_sq_dist(k_row, gp.params_.signal_var, gp.params_.lengthscale);
-    k_.insert(k_.end(), k_row.row(0).begin(), k_row.row(0).end());
 
     // v's new entry by the forward-solve recurrence against the factor's
     // new row, subtracting in ascending k like the blocked sweep; the
     // leading n entries are unchanged because extend() keeps L's leading
-    // block.
-    v_.insert(v_.end(), k_row.row(0).begin(), k_row.row(0).end());
+    // block. So are w's, which makes the mean vᵀw one more ascending term.
     const linalg::Matrix& l = gp.chol_->lower();
-    double* v_new = v_.data() + n * m;
-    for (std::size_t k = 0; k < n; ++k) {
-        const double lnk = l(n, k);
-        const double* v_k = v_.data() + k * m;
-        for (std::size_t j = 0; j < m; ++j) v_new[j] -= lnk * v_k[j];
-    }
     const double lnn = l(n, n);
-    for (std::size_t j = 0; j < m; ++j) {
-        v_new[j] /= lnn;
-        sq_norm_[j] += v_new[j] * v_new[j];
+    const double wn = gp.w_[n];
+    std::size_t col0 = 0;
+    for (linalg::Matrix& v : v_) {
+        const std::size_t cols = v.cols();
+        v.append_row(k_row.row(0).subspan(col0, cols));
+        double* v_new = v.row(n).data();
+        for (std::size_t k = 0; k < n; ++k) {
+            const double lnk = l(n, k);
+            const double* v_k = v.row(k).data();
+            for (std::size_t j = 0; j < cols; ++j) v_new[j] -= lnk * v_k[j];
+        }
+        double* mean = mean_std_.data() + col0;
+        double* sq = sq_norm_.data() + col0;
+        for (std::size_t j = 0; j < cols; ++j) {
+            v_new[j] /= lnn;
+            mean[j] += v_new[j] * wn;
+            sq[j] += v_new[j] * v_new[j];
+        }
+        col0 += cols;
     }
     n_ = n + 1;
-
-    // α changed everywhere: the mean is kᵀα again, accumulated in
-    // ascending i like the fused sweep.
-    std::fill(mean_std_.begin(), mean_std_.end(), 0.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-        const double ai = gp.alpha_[i];
-        const double* k_i = k_.data() + i * m;
-        for (std::size_t j = 0; j < m; ++j) mean_std_[j] += k_i[j] * ai;
-    }
 }
 
 // ------------------------------------------------------------ BayesSolver

@@ -18,7 +18,10 @@ namespace sdl::solver {
 
 /// Gaussian-process regression with an isotropic RBF kernel:
 ///   k(x, x') = signal_var * exp(-|x-x'|^2 / (2 l^2)) + noise_var * [x==x']
-/// Targets are standardized internally.
+/// Targets are standardized internally. The posterior follows GPML
+/// Alg. 2.1 with the weights kept as w = L⁻¹y instead of α = K⁻¹y: at a
+/// query with v = L⁻¹k_*, the mean is vᵀw (= k_*ᵀα) and the variance
+/// k(x, x) - vᵀv, so one forward solve serves both.
 class GaussianProcess {
 public:
     struct Hyperparams {
@@ -42,7 +45,9 @@ public:
     /// frozen at the last fit() so the existing kernel rows remain
     /// valid; refit when the data distribution shifts. The updated
     /// factor is bitwise identical to a from-scratch refactorization at
-    /// the same hyperparameters and standardization. Returns true when
+    /// the same hyperparameters and standardization, and w grows by one
+    /// entry in O(n) (the forward-solve recurrence on the factor's new
+    /// row), since its leading entries stay exact. Returns true when
     /// the factor was extended; false when the extension failed and the
     /// GP fell back to a jittered full refactorization (a PoolPosterior
     /// tracking this GP must then be rebuilt, see PoolPosterior::update).
@@ -56,23 +61,14 @@ public:
         double mean = 0.0;
         double variance = 0.0;
     };
-    /// Posterior at a point (in the original, unstandardized units).
+    /// Posterior at a point (in the original, unstandardized units); the
+    /// per-point oracle PoolPosterior matches bit for bit.
     [[nodiscard]] Prediction predict(std::span<const double> x) const;
 
-    /// Posterior at every row of `x` (one query point per row) in one
-    /// blocked pass: the cross-kernel matrix is assembled once
-    /// (linalg::cross_sq_dist), all right-hand sides go through a single
-    /// multi-RHS forward substitution against the cached Cholesky factor,
-    /// and the mean/variance reductions are fused into that sweep
-    /// (linalg::Cholesky::solve_lower_multi_fused). O(n^2 * C) like C
-    /// separate predict() calls, but the inner loops are contiguous
-    /// across candidates instead of chasing one dependency chain per
-    /// point. Each entry is bitwise identical to predict(x.row(i)).
-    [[nodiscard]] std::vector<Prediction> predict_batch(const linalg::Matrix& x) const;
-
-    /// Log marginal likelihood of the standardized targets under `p`.
-    /// When `p` equals the fitted hyperparameters, the existing factor
-    /// and K⁻¹y are reused instead of rebuilding the kernel matrix.
+    /// Log marginal likelihood of the standardized targets under `p`;
+    /// the fit term yᵀK⁻¹y is wᵀw. When `p` equals the fitted
+    /// hyperparameters, the existing factor and w are reused instead of
+    /// rebuilding the kernel matrix.
     [[nodiscard]] double log_marginal_likelihood(const Hyperparams& p) const;
 
 private:
@@ -87,7 +83,7 @@ private:
     [[nodiscard]] Prediction unstandardize(double mean_std, double sq_norm) const noexcept;
     [[nodiscard]] linalg::Matrix kernel_matrix(const Hyperparams& p) const;
     [[nodiscard]] double lml_terms(const linalg::Cholesky& chol,
-                                   const linalg::Vec& alpha) const;
+                                   const linalg::Vec& w) const;
     [[nodiscard]] double kernel(std::span<const double> a, std::span<const double> b,
                                 const Hyperparams& p) const noexcept;
 
@@ -98,30 +94,24 @@ private:
     double y_scale_ = 1.0;
     Hyperparams params_;
     std::unique_ptr<linalg::Cholesky> chol_;
-    linalg::Vec alpha_;  ///< K^-1 y (standardized)
+    linalg::Vec w_;  ///< L⁻¹y (standardized)
 };
-
-/// Scores a candidate pool against a fitted GP. Small pools run one
-/// blocked predict_batch pass; pools with enough work (n^2 * C) are
-/// chunked across support::global_pool() with parallel_map, which nests
-/// safely inside a pool task (a busy pool degrades it to serial).
-/// Per-candidate results are independent, so chunking and thread count
-/// change nothing: entry i is always bitwise identical to
-/// gp.predict(pool.row(i)).
-[[nodiscard]] std::vector<GaussianProcess::Prediction> score_candidate_pool(
-    const GaussianProcess& gp, const linalg::Matrix& pool);
 
 /// The posterior of one fixed candidate pool under a GP that grows by
 /// constant-liar observe() calls (Ginsbourger, Le Riche & Carraro 2010;
-/// Rasmussen & Williams, GPML Alg. 2.1). Construction scores the pool
-/// once, chunked like score_candidate_pool, and keeps per candidate its
-/// cross-kernel column k, v = L⁻¹k and |v|². Each extended observe()
-/// appends one row per candidate in O(n) instead of re-solving in O(n²):
-/// the new point's kernel row, v's new entry by the forward-solve
-/// recurrence, |v|² += v_new², and the mean kᵀα against the new α. All
-/// sums run in the blocked solve's ascending order, so prediction(c) is
-/// bitwise identical to score_candidate_pool(gp, pool)[c] on the
-/// extended GP. The GP must outlive the posterior.
+/// Rasmussen & Williams, GPML Alg. 2.1) — the solver's only batched
+/// scorer. Construction scores the pool in one blocked pass
+/// (linalg::Cholesky::solve_lower_multi_fused over the cross-kernel
+/// matrix); pools with enough work (n^2 * C) are chunked across
+/// support::global_pool() with parallel_map, which nests safely inside a
+/// pool task (a busy pool degrades it to serial). Per candidate it keeps
+/// v = L⁻¹k, |v|² and the standardized mean vᵀw. Each extended observe()
+/// appends one entry to every candidate's v in O(n) instead of
+/// re-solving in O(n²): the new point's kernel row, the forward-solve
+/// recurrence, then |v|² += v_new² and mean += v_new·w_new. All sums run
+/// in ascending order, so prediction(c) is bitwise identical to
+/// gp.predict(pool.row(c)) on the extended GP, whatever the chunking or
+/// thread count. The GP must outlive the posterior.
 class PoolPosterior {
 public:
     PoolPosterior(const GaussianProcess& gp, linalg::Matrix pool);
@@ -143,10 +133,10 @@ private:
 
     const GaussianProcess* gp_;
     linalg::Matrix pool_;
-    std::size_t n_ = 0;  ///< training points the rows of k_ and v_ cover
-    /// Row-major n_ x C: row i holds k(x_i, pool) and row i of L⁻¹k.
-    std::vector<double> k_;
-    std::vector<double> v_;
+    std::size_t n_ = 0;  ///< training points the rows of v_ cover
+    /// L⁻¹k(train, pool) in column blocks, as scored: block b is n_ x
+    /// (its candidates), and the blocks cover the pool's rows in order.
+    std::vector<linalg::Matrix> v_;
     linalg::Vec mean_std_;
     linalg::Vec sq_norm_;
 };

@@ -37,6 +37,12 @@ TEST(Matrix, BasicOps) {
     const Vec av = a * v;
     EXPECT_DOUBLE_EQ(av[0], 6.0);
     EXPECT_DOUBLE_EQ(av[1], 15.0);
+
+    a.append_row(Vec{7.0, 8.0, 9.0});
+    EXPECT_EQ(a.rows(), 3u);
+    EXPECT_DOUBLE_EQ(a(1, 2), 6.0);
+    EXPECT_DOUBLE_EQ(a(2, 0), 7.0);
+    EXPECT_DOUBLE_EQ(a(2, 2), 9.0);
 }
 
 TEST(Matrix, MatmulAgainstHandComputed) {
@@ -72,6 +78,7 @@ TEST(Matrix, DimensionMismatchThrows) {
     EXPECT_THROW((void)(a * b), sdl::support::LogicError);
     const Vec short_vec{1.0, 2.0};
     EXPECT_THROW((void)(a * short_vec), sdl::support::LogicError);
+    EXPECT_THROW(a.append_row(short_vec), sdl::support::LogicError);
 }
 
 TEST(VecOps, DotAxpyNorm) {
@@ -279,7 +286,7 @@ namespace {
 
 /// Draws an n x m right-hand side and n weights from `rng`, runs the
 /// fused sweep, and checks it against the unfused scalar flow:
-/// solve_lower per column, dot(b_col, weights) and dot(y_col, y_col) in
+/// solve_lower per column, dot(y_col, weights) and dot(y_col, y_col) in
 /// ascending-index order.
 void expect_fused_matches_dots(const Cholesky& chol, std::size_t m, Rng& rng,
                                const std::string& what) {
@@ -299,7 +306,7 @@ void expect_fused_matches_dots(const Cholesky& chol, std::size_t m, Rng& rng,
         Vec col(n);
         for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
         const Vec solved = chol.solve_lower(col);
-        EXPECT_EQ(wsum[j], dot(col, weights)) << what << " col " << j;
+        EXPECT_EQ(wsum[j], dot(solved, weights)) << what << " col " << j;
         EXPECT_EQ(sq[j], dot(solved, solved)) << what << " col " << j;
         for (std::size_t i = 0; i < n; ++i) {
             EXPECT_EQ(y(i, j), solved[i]) << what << " col " << j << " row " << i;
@@ -590,7 +597,7 @@ Matrix reference_rbf_from_sq_dist(Matrix d2, double sv, double ls) {
 }
 
 /// Naive per-column forward substitution with the GP's two reductions:
-/// `wsum` gets weights . b_col and `sq` gets |y_col|^2, both summed in
+/// `wsum` gets weights . y_col and `sq` gets |y_col|^2, both summed in
 /// ascending row order.
 Matrix reference_solve_lower_multi(const Matrix& l, Matrix b, std::span<const double> weights,
                                    Vec& wsum, Vec& sq) {
@@ -599,10 +606,10 @@ Matrix reference_solve_lower_multi(const Matrix& l, Matrix b, std::span<const do
     sq.assign(b.cols(), 0.0);
     for (std::size_t col = 0; col < b.cols(); ++col) {
         for (std::size_t i = 0; i < n; ++i) {
-            wsum[col] += b(i, col) * weights[i];
             double s = b(i, col);
             for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * b(k, col);
             b(i, col) = s / l(i, i);
+            wsum[col] += b(i, col) * weights[i];
             sq[col] += b(i, col) * b(i, col);
         }
     }

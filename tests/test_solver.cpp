@@ -12,6 +12,7 @@
 
 #include "color/mixing.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/fastmath.hpp"
 #include "linalg/matrix.hpp"
 #include "solver/anneal.hpp"
 #include "solver/baselines.hpp"
@@ -254,11 +255,11 @@ TEST(GaussianProcess, LmlPrefersSensibleLengthscale) {
 
 namespace {
 
+/// The kernel GaussianProcess itself evaluates, so hand-built references
+/// carry its bits.
 double rbf(const std::vector<double>& a, const std::vector<double>& b,
            const GaussianProcess::Hyperparams& p) {
-    double d2 = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) d2 += (a[i] - b[i]) * (a[i] - b[i]);
-    return p.signal_var * std::exp(-0.5 * d2 / (p.lengthscale * p.lengthscale));
+    return sdl::linalg::rbf_kernel(a, b, p.signal_var, p.lengthscale);
 }
 
 }  // namespace
@@ -266,12 +267,14 @@ double rbf(const std::vector<double>& a, const std::vector<double>& b,
 TEST(GaussianProcess, ObserveMatchesBatchRefitAtFrozenStandardization) {
     // The incremental rank-1 update must reproduce the posterior of a
     // from-scratch fit on the full data at the same hyperparameters and
-    // the same (frozen) target standardization. The reference posterior
-    // is computed by hand with linalg.
+    // the same (frozen) target standardization, bit for bit: extend()
+    // matches refactorization exactly, and observe() extends w = L⁻¹y by
+    // the same forward-solve recurrence solve_lower runs. The reference
+    // posterior is computed by hand with linalg and the GP's own kernel.
     Rng rng(99);
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
-    for (int i = 0; i < 12; ++i) {
+    for (int i = 0; i < 40; ++i) {
         std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()};
         ys.push_back(std::sin(3.0 * x[0]) + x[1]);
         xs.push_back(std::move(x));
@@ -282,7 +285,7 @@ TEST(GaussianProcess, ObserveMatchesBatchRefitAtFrozenStandardization) {
     gp.fit({xs.begin(), xs.begin() + kBase}, {ys.begin(), ys.begin() + kBase},
            /*optimize=*/false);
     const GaussianProcess::Hyperparams p = gp.hyperparams();
-    for (std::size_t i = kBase; i < xs.size(); ++i) gp.observe(xs[i], ys[i]);
+    for (std::size_t i = kBase; i < xs.size(); ++i) EXPECT_TRUE(gp.observe(xs[i], ys[i]));
     ASSERT_EQ(gp.size(), xs.size());
 
     // Standardization frozen at the first kBase targets, as documented.
@@ -303,18 +306,21 @@ TEST(GaussianProcess, ObserveMatchesBatchRefitAtFrozenStandardization) {
     sdl::linalg::Vec ys_std(n);
     for (std::size_t i = 0; i < n; ++i) ys_std[i] = (ys[i] - mean) / scale;
     const sdl::linalg::Cholesky chol(k);
-    const sdl::linalg::Vec alpha = chol.solve(ys_std);
+    const sdl::linalg::Vec w = chol.solve_lower(ys_std);
 
-    const std::vector<double> query{0.3, 0.7, 0.2, 0.6};
-    sdl::linalg::Vec kx(n);
-    for (std::size_t i = 0; i < n; ++i) kx[i] = rbf(xs[i], query, p);
-    const double mean_std = sdl::linalg::dot(kx, alpha);
-    const sdl::linalg::Vec v = chol.solve_lower(kx);
-    const double var_std = p.signal_var + p.noise_var - sdl::linalg::dot(v, v);
+    for (int q = 0; q < 16; ++q) {
+        const std::vector<double> query{rng.uniform(), rng.uniform(), rng.uniform(),
+                                        rng.uniform()};
+        sdl::linalg::Vec kx(n);
+        for (std::size_t i = 0; i < n; ++i) kx[i] = rbf(xs[i], query, p);
+        const sdl::linalg::Vec v = chol.solve_lower(kx);
+        const double mean_std = sdl::linalg::dot(v, w);
+        const double var_std = p.signal_var + p.noise_var - sdl::linalg::dot(v, v);
 
-    const auto pred = gp.predict(query);
-    EXPECT_NEAR(pred.mean, mean_std * scale + mean, 1e-9);
-    EXPECT_NEAR(pred.variance, var_std * scale * scale, 1e-9);
+        const auto pred = gp.predict(query);
+        EXPECT_EQ(pred.mean, mean_std * scale + mean) << "query " << q;
+        EXPECT_EQ(pred.variance, var_std * scale * scale) << "query " << q;
+    }
 }
 
 TEST(GaussianProcess, ObserveRequiresFitAndMatchingDims) {
@@ -389,189 +395,189 @@ TEST(GaussianProcess, LmlFastPathMatchesManualComputation) {
     }
 }
 
-TEST(GaussianProcess, PredictBatchBitwiseMatchesSequentialPredict) {
-    // predict_batch is the solver's hot path; its whole contract is that
-    // blocking changes nothing — every entry must carry the exact bits
-    // sequential predict() produces. Property sweep: training-set sizes
-    // from degenerate to solver-realistic, varying query counts, several
-    // seeds, and near-duplicate training points (hard conditioning).
-    for (const std::uint64_t seed : {103u, 211u, 307u}) {
-        for (const std::size_t n : {1u, 2u, 3u, 5u, 9u, 17u, 40u, 64u}) {
-            Rng rng(seed + n * 13);
-            std::vector<std::vector<double>> xs;
-            std::vector<double> ys;
-            for (std::size_t i = 0; i < n; ++i) {
-                std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform(),
-                                      rng.uniform()};
-                // Every third point duplicates its predecessor so the
-                // kernel matrix is near-singular, not just friendly.
-                if (i % 3 == 2) x = xs.back();
-                ys.push_back(std::cos(2.0 * x[0]) + 0.5 * x[2] + 0.1 * rng.normal());
-                xs.push_back(std::move(x));
-            }
-            GaussianProcess gp;
-            gp.fit(xs, ys, /*optimize=*/n >= 9);
+namespace {
 
-            const std::size_t m = 1 + (seed + n * 7) % 64;
-            sdl::linalg::Matrix queries(m, 4);
-            for (std::size_t j = 0; j < m; ++j)
-                for (std::size_t k = 0; k < 4; ++k) queries(j, k) = rng.uniform();
-
-            const auto batch = gp.predict_batch(queries);
-            ASSERT_EQ(batch.size(), m);
-            for (std::size_t j = 0; j < m; ++j) {
-                const auto seq = gp.predict(queries.row(j));
-                EXPECT_EQ(batch[j].mean, seq.mean)
-                    << "seed=" << seed << " n=" << n << " query " << j;
-                EXPECT_EQ(batch[j].variance, seq.variance)
-                    << "seed=" << seed << " n=" << n << " query " << j;
-            }
-        }
-    }
-}
-
-TEST(GaussianProcess, PredictBatchBitwiseAfterObserveUpdates) {
-    // The batched path runs against the extended Cholesky factor too —
-    // constant-liar picks interleave observe() with batch scoring.
-    Rng rng(107);
+/// n seeded 4-D training points on a smooth objective; when
+/// `near_duplicates` is set every third point repeats its predecessor, so
+/// the kernel matrix is near-singular, not just friendly.
+GaussianProcess fitted_gp(std::size_t n, Rng& rng, bool optimize,
+                          bool near_duplicates = false) {
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
-    for (int i = 0; i < 10; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()};
-        ys.push_back(std::sin(4.0 * x[1]) - x[3]);
+        if (near_duplicates && i % 3 == 2) x = xs.back();
+        ys.push_back(std::sin(3.0 * x[0]) + x[1] * x[3] + 0.1 * rng.normal());
         xs.push_back(std::move(x));
     }
     GaussianProcess gp;
-    gp.fit(xs, ys, /*optimize=*/true);
-    for (int round = 0; round < 3; ++round) {
-        gp.observe({rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()},
-                   rng.uniform(-1, 1));
-        sdl::linalg::Matrix queries(21, 4);
-        for (std::size_t j = 0; j < queries.rows(); ++j)
-            for (std::size_t k = 0; k < 4; ++k) queries(j, k) = rng.uniform();
-        const auto batch = gp.predict_batch(queries);
-        for (std::size_t j = 0; j < queries.rows(); ++j) {
-            const auto seq = gp.predict(queries.row(j));
-            EXPECT_EQ(batch[j].mean, seq.mean) << "round " << round << " query " << j;
-            EXPECT_EQ(batch[j].variance, seq.variance);
+    gp.fit(xs, ys, optimize);
+    return gp;
+}
+
+sdl::linalg::Matrix random_pool(std::size_t rows, Rng& rng) {
+    sdl::linalg::Matrix pool(rows, 4);
+    for (std::size_t j = 0; j < rows; ++j)
+        for (std::size_t k = 0; k < 4; ++k) pool(j, k) = rng.uniform();
+    return pool;
+}
+
+/// One candidate's posterior next to the per-point oracle's.
+struct PosteriorCheck {
+    std::size_t lie = 0;
+    std::size_t candidate = 0;
+    GaussianProcess::Prediction got;
+    GaussianProcess::Prediction want;
+};
+
+void collect_checks(const GaussianProcess& gp, const PoolPosterior& posterior,
+                    std::size_t lie, std::vector<PosteriorCheck>& out) {
+    const sdl::linalg::Matrix& pool = posterior.pool();
+    for (std::size_t c = 0; c < pool.rows(); ++c) {
+        out.push_back({lie, c, posterior.prediction(c), gp.predict(pool.row(c))});
+    }
+}
+
+void expect_bitwise(const std::vector<PosteriorCheck>& checks, const std::string& where) {
+    for (const PosteriorCheck& check : checks) {
+        EXPECT_EQ(check.got.mean, check.want.mean)
+            << where << " lie " << check.lie << " candidate " << check.candidate;
+        EXPECT_EQ(check.got.variance, check.want.variance)
+            << where << " lie " << check.lie << " candidate " << check.candidate;
+    }
+}
+
+/// Builds a PoolPosterior over 192 candidates against a GP of n points,
+/// then tells it 17 constant lies (as BayesSolver::ask does), collecting
+/// every candidate against gp.predict after 0..17 lies. The last lie
+/// also goes through the fallback's rebuild path on a second posterior.
+std::vector<PosteriorCheck> run_lies(std::size_t n) {
+    Rng rng(200 + n);
+    GaussianProcess gp = fitted_gp(n, rng, /*optimize=*/true);
+    const sdl::linalg::Matrix pool = random_pool(192, rng);
+    const double lie_y = -1.0;
+
+    std::vector<PosteriorCheck> checks;
+    PoolPosterior posterior(gp, pool);
+    collect_checks(gp, posterior, 0, checks);
+    for (std::size_t lie = 1; lie <= 16; ++lie) {
+        // Mostly pool rows, as the solver lies; every fourth lie is a
+        // point off the pool.
+        std::vector<double> x(4);
+        for (std::size_t k = 0; k < 4; ++k) {
+            x[k] = lie % 4 == 0 ? rng.uniform() : pool(7 * lie, k);
+        }
+        posterior.update(gp.observe(x, lie_y));
+        collect_checks(gp, posterior, lie, checks);
+    }
+    EXPECT_EQ(gp.size(), n + 16);
+
+    // The fallback's rebuild path: a posterior told the factor was
+    // replaced re-scores from the current factor, with the same bits.
+    PoolPosterior rebuilt(gp, pool);
+    const bool extended = gp.observe({0.5, 0.1, 0.2, 0.3}, lie_y);
+    EXPECT_TRUE(extended);
+    posterior.update(extended);
+    rebuilt.update(false);
+    collect_checks(gp, posterior, 17, checks);
+    collect_checks(gp, rebuilt, 17, checks);
+    return checks;
+}
+
+}  // namespace
+
+TEST(PoolPosterior, BitwiseMatchesPredictAcrossShapes) {
+    // The posterior is the solver's only batched scorer; its whole
+    // contract is that blocking changes nothing — every candidate must
+    // carry the exact bits gp.predict produces. Property sweep:
+    // training-set sizes from degenerate to solver-realistic, varying
+    // pool sizes, several seeds, near-duplicate training points (hard
+    // conditioning), and queries after observe() extends the GP.
+    for (const std::uint64_t seed : {103u, 211u, 307u}) {
+        for (const std::size_t n : {1u, 2u, 3u, 5u, 9u, 17u, 40u, 64u}) {
+            Rng rng(seed + n * 13);
+            GaussianProcess gp = fitted_gp(n, rng, /*optimize=*/n >= 9,
+                                           /*near_duplicates=*/true);
+            const std::size_t m = 1 + (seed + n * 7) % 64;
+            PoolPosterior posterior(gp, random_pool(m, rng));
+            std::vector<PosteriorCheck> checks;
+            collect_checks(gp, posterior, 0, checks);
+            for (std::size_t lie = 1; lie <= 3; ++lie) {
+                posterior.update(gp.observe({rng.uniform(), rng.uniform(), rng.uniform(),
+                                             rng.uniform()},
+                                            rng.uniform(-1, 1)));
+                collect_checks(gp, posterior, lie, checks);
+            }
+            ASSERT_EQ(checks.size(), 4 * m);
+            expect_bitwise(checks, "seed=" + std::to_string(seed) + " n=" + std::to_string(n));
         }
     }
 }
 
-TEST(GaussianProcess, PredictBatchValidatesShapes) {
+TEST(PoolPosterior, ValidatesShapes) {
     GaussianProcess gp;
-    sdl::linalg::Matrix queries(3, 4);
-    EXPECT_THROW(gp.predict_batch(queries), sdl::support::LogicError);
+    EXPECT_THROW((void)PoolPosterior(gp, sdl::linalg::Matrix(3, 4)), sdl::support::LogicError);
     gp.fit({{0.1, 0.2, 0.3, 0.4}, {0.5, 0.6, 0.7, 0.8}}, {1.0, 2.0},
            /*optimize=*/false);
-    EXPECT_TRUE(gp.predict_batch(sdl::linalg::Matrix(0, 4)).empty());
-    EXPECT_THROW(gp.predict_batch(sdl::linalg::Matrix(3, 2)),
-                 sdl::support::LogicError);
+    EXPECT_NO_THROW((void)PoolPosterior(gp, sdl::linalg::Matrix(0, 4)));
+    EXPECT_THROW((void)PoolPosterior(gp, sdl::linalg::Matrix(3, 2)), sdl::support::LogicError);
 }
 
-TEST(Bayes, ScoreCandidatePoolThreadCountInvariant) {
+TEST(Bayes, PoolPosteriorThreadCountInvariant) {
     // n and C sit past the parallel-dispatch threshold (n^2 * C =
     // 524288 >= 262144, C > 64), so the chunked path genuinely runs.
-    // The bayes.hpp contract: entry i carries the exact bits of
+    // The bayes.hpp contract: candidate i carries the exact bits of
     // gp.predict(pool.row(i)) — on a free pool, and from inside tasks
     // that occupy every global_pool() worker, where the nested
     // parallel_map degrades to the calling thread alone.
     Rng rng(131);
-    const std::size_t n = 64;
-    std::vector<std::vector<double>> xs;
-    std::vector<double> ys;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform(),
-                              rng.uniform()};
-        ys.push_back(std::sin(3.0 * x[0]) + x[1] * x[3]);
-        xs.push_back(std::move(x));
-    }
-    GaussianProcess gp;
-    gp.fit(xs, ys, /*optimize=*/false);
-
-    sdl::linalg::Matrix pool(128, 4);
-    for (std::size_t j = 0; j < pool.rows(); ++j)
-        for (std::size_t k = 0; k < 4; ++k) pool(j, k) = rng.uniform();
-
-    const auto expect_predict_bits =
-        [&](const std::vector<GaussianProcess::Prediction>& scored, const char* where) {
-            ASSERT_EQ(scored.size(), pool.rows()) << where;
-            for (std::size_t j = 0; j < scored.size(); ++j) {
-                const auto seq = gp.predict(pool.row(j));
-                EXPECT_EQ(scored[j].mean, seq.mean) << where << " candidate " << j;
-                EXPECT_EQ(scored[j].variance, seq.variance)
-                    << where << " candidate " << j;
-            }
-        };
-    expect_predict_bits(score_candidate_pool(gp, pool), "free pool");
+    const GaussianProcess gp = fitted_gp(64, rng, /*optimize=*/false);
+    const sdl::linalg::Matrix pool = random_pool(128, rng);
+    const auto score = [&] {
+        std::vector<PosteriorCheck> checks;
+        collect_checks(gp, PoolPosterior(gp, pool), 0, checks);
+        return checks;
+    };
+    expect_bitwise(score(), "free pool");
 
     sdl::support::ThreadPool& global = sdl::support::global_pool();
     std::latch all_busy(static_cast<std::ptrdiff_t>(global.size()));
-    std::vector<std::future<std::vector<GaussianProcess::Prediction>>> nested;
+    std::vector<std::future<std::vector<PosteriorCheck>>> nested;
     for (std::size_t w = 0; w < global.size(); ++w) {
         nested.push_back(global.submit([&] {
             all_busy.arrive_and_wait();  // every worker is now inside a task
-            return score_candidate_pool(gp, pool);
+            return score();
         }));
     }
-    for (auto& scored : nested) expect_predict_bits(scored.get(), "saturated pool");
+    for (auto& checks : nested) {
+        const std::vector<PosteriorCheck> got = checks.get();
+        ASSERT_EQ(got.size(), pool.rows());
+        expect_bitwise(got, "saturated pool");
+    }
 }
 
 TEST(Bayes, SharedPoolLiesMatchFullRescore) {
     // PoolPosterior's O(n)-per-candidate update after each lie must
-    // carry the exact bits of re-scoring the same pool against the
-    // extended GP. n = 16 keeps the initial scoring one blocked pass
-    // (n^2 * C below kParallelWork); n = 64 puts it on the chunked path.
+    // carry the exact bits of scoring the same pool from scratch on the
+    // extended GP, here gp.predict per row. n = 16 keeps the initial
+    // scoring one blocked pass (n^2 * C below kParallelWork); n = 64 puts
+    // it on the chunked path. Both run on a free pool and from inside
+    // tasks that saturate global_pool().
     for (const std::size_t n : {std::size_t{16}, std::size_t{64}}) {
-        Rng rng(200 + n);
-        std::vector<std::vector<double>> xs;
-        std::vector<double> ys;
-        for (std::size_t i = 0; i < n; ++i) {
-            std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform(),
-                                  rng.uniform()};
-            ys.push_back(std::sin(3.0 * x[0]) + x[1] * x[3]);
-            xs.push_back(std::move(x));
-        }
-        GaussianProcess gp;
-        gp.fit(xs, ys, /*optimize=*/true);
-        sdl::linalg::Matrix pool(192, 4);
-        for (std::size_t j = 0; j < pool.rows(); ++j)
-            for (std::size_t k = 0; k < 4; ++k) pool(j, k) = rng.uniform();
+        expect_bitwise(run_lies(n), "free pool n=" + std::to_string(n));
 
-        PoolPosterior posterior(gp, pool);
-        const auto expect_rescore_bits = [&](const PoolPosterior& p, std::size_t lie) {
-            const auto full = score_candidate_pool(gp, pool);
-            for (std::size_t c = 0; c < pool.rows(); ++c) {
-                const auto incremental = p.prediction(c);
-                EXPECT_EQ(incremental.mean, full[c].mean)
-                    << "n " << n << " lie " << lie << " candidate " << c;
-                EXPECT_EQ(incremental.variance, full[c].variance)
-                    << "n " << n << " lie " << lie << " candidate " << c;
-            }
-        };
-        expect_rescore_bits(posterior, 0);
-        const double lie_y = *std::min_element(ys.begin(), ys.end());
-        for (std::size_t lie = 1; lie <= 16; ++lie) {
-            // Mostly pool rows, as the solver lies; every fourth lie is a
-            // point off the pool.
-            std::vector<double> x(4);
-            for (std::size_t k = 0; k < 4; ++k) {
-                x[k] = lie % 4 == 0 ? rng.uniform() : pool(7 * lie, k);
-            }
-            posterior.update(gp.observe(x, lie_y));
-            expect_rescore_bits(posterior, lie);
+        sdl::support::ThreadPool& global = sdl::support::global_pool();
+        std::latch all_busy(static_cast<std::ptrdiff_t>(global.size()));
+        std::vector<std::future<std::vector<PosteriorCheck>>> nested;
+        for (std::size_t w = 0; w < global.size(); ++w) {
+            nested.push_back(global.submit([&] {
+                all_busy.arrive_and_wait();
+                return run_lies(n);
+            }));
         }
-        EXPECT_EQ(gp.size(), n + 16);
-
-        // The fallback's rebuild path: a posterior told the factor was
-        // replaced re-scores from the current factor, with the same bits.
-        PoolPosterior rebuilt(gp, pool);
-        const bool extended = gp.observe({0.5, 0.1, 0.2, 0.3}, lie_y);
-        EXPECT_TRUE(extended);
-        posterior.update(extended);
-        rebuilt.update(false);
-        expect_rescore_bits(posterior, 17);
-        expect_rescore_bits(rebuilt, 17);
+        for (auto& checks : nested) {
+            expect_bitwise(checks.get(), "saturated pool n=" + std::to_string(n));
+        }
     }
 }
 
@@ -696,6 +702,14 @@ TEST(GaussianProcess, FitValidatesShapes) {
     EXPECT_THROW(gp.fit({}, {}), sdl::support::LogicError);
     EXPECT_THROW(gp.fit({{0.1}}, {1.0, 2.0}), sdl::support::LogicError);
     EXPECT_THROW((void)gp.predict(std::vector<double>{0.1}), sdl::support::LogicError);
+    EXPECT_THROW(gp.fit({{0.1, 0.2}, {0.3}}, {1.0, 2.0}), sdl::support::LogicError);
+    gp.fit({{0.1, 0.2, 0.3, 0.4}, {0.5, 0.6, 0.7, 0.8}}, {1.0, 2.0}, /*optimize=*/false);
+    EXPECT_THROW((void)gp.predict(std::vector<double>{0.1}), sdl::support::LogicError);
+    EXPECT_THROW(gp.fit({{0.1, 0.2, 0.3, 0.4}, {0.5, 0.6}}, {1.0, 2.0}),
+                 sdl::support::LogicError);
+    // A rejected fit leaves the previous one in place.
+    EXPECT_EQ(gp.size(), 2u);
+    EXPECT_NO_THROW((void)gp.predict(std::vector<double>{0.1, 0.2, 0.3, 0.4}));
 }
 
 // ------------------------------------------------------------------ bayes
